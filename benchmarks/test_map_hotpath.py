@@ -1,13 +1,15 @@
-"""Map hot path: packed binary collector vs the object collector.
+"""Map hot path: proven raw-bytes fold vs an opaque combiner.
 
-Two claims from the packed-buffer + in-node-combining work, measured
-and written to ``BENCH_map.json``:
+Two claims from the packed-collector, raw-fold and in-node-combining
+work, measured and written to ``BENCH_map.json``:
 
-* **Throughput** — records/sec through the collect → sort → spill →
-  merge path (the component the binary buffer replaces), driven with a
+* **Throughput** — records/sec through the collect → sort → combine →
+  spill → merge path of the one packed collector, driven with a
   pre-tokenized Zipf-ish word stream so the measurement isolates the
-  collector rather than the user mapper.  The packed path must clear
-  1.5x the object path.
+  collector rather than the user mapper.  A sum combiner the engine can
+  prove (folded on raw bytes) must clear ``THROUGHPUT_BAR`` times the
+  same sum written so the proof fails (run through ``combine()``).
+  ``speedup`` is the median over trials of the paired rate ratio.
 * **Shuffle bytes** — in-node combining must cut the bytes reducers
   fetch *beyond* what per-task frequency buffering already saves:
   wordcount with freqbuf only vs freqbuf + node-combine.
@@ -18,12 +20,15 @@ lossy byte saving would make the numbers meaningless.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import statistics
 import time
 
 from repro.config import Keys
 from repro.engine.api import HashPartitioner
-from repro.engine.collector import BinaryStandardCollector, StandardCollector
+from repro.engine.api import Combiner
+from repro.engine.collector import StandardCollector
 from repro.engine.combiner import CombinerRunner
 from repro.engine.costmodel import DEFAULT_COST_MODEL, UserCodeCosts
 from repro.engine.counters import Counter, Counters
@@ -32,6 +37,7 @@ from repro.engine.runner import LocalJobRunner
 from repro.engine.spillpolicy import StaticSpillPolicy
 from repro.experiments.common import build_app
 from repro.io.blockdisk import LocalDisk
+from repro.io.spillfile import read_segment
 from repro.serde.numeric import VIntWritable
 from repro.serde.text import Text
 from tests.conftest import SumCombiner
@@ -39,15 +45,27 @@ from tests.conftest import SumCombiner
 OUTPUT_FILE = "BENCH_map.json"
 NUM_RECORDS = 150_000
 DISTINCT_KEYS = 997
-TRIALS = 3
-THROUGHPUT_BAR = 1.5
+TRIALS = 5
+THROUGHPUT_BAR = 1.05
 
-COLLECTORS = {"object": StandardCollector, "binary": BinaryStandardCollector}
+
+class OpaqueSumCombiner(Combiner):
+    """SumCombiner's fold in two statements: the prover needs the single
+    ``emit(key, W(agg(...)))`` shape, so this one runs as user code."""
+
+    def combine(self, key, values, emit):
+        total = sum(v.value for v in values)
+        emit(key, VIntWritable(total))
+
+
+COMBINERS = {"opaque": OpaqueSumCombiner, "proven": SumCombiner}
 
 
 def _make_collector(mode: str):
     counters = Counters()
-    return COLLECTORS[mode](
+    runner = CombinerRunner(COMBINERS[mode](), Text, VIntWritable, UserCodeCosts(), counters)
+    assert (runner.fold is not None) == (mode == "proven")
+    return StandardCollector(
         task_id="bench",
         disk=LocalDisk(),
         num_partitions=4,
@@ -57,13 +75,11 @@ def _make_collector(mode: str):
         cost_model=DEFAULT_COST_MODEL,
         instruments=TaskInstruments(Ledger()),
         counters=counters,
-        combiner_runner=CombinerRunner(
-            SumCombiner(), Text, VIntWritable, UserCodeCosts(), counters
-        ),
+        combiner_runner=runner,
     )
 
 
-def _collect_run(mode: str, keys) -> tuple[float, "object"]:
+def _collect_run(mode: str, keys) -> tuple[float, str]:
     collector = _make_collector(mode)
     one = VIntWritable(1)
     collect = collector.collect
@@ -71,26 +87,35 @@ def _collect_run(mode: str, keys) -> tuple[float, "object"]:
     for key in keys:
         collect(key, one)
     index = collector.flush()
-    return NUM_RECORDS / (time.perf_counter() - start), index
+    rate = NUM_RECORDS / (time.perf_counter() - start)
+    digest = hashlib.sha256()
+    for partition in range(collector.num_partitions):
+        for key_bytes, value_bytes in read_segment(collector.disk, index, partition):
+            digest.update(key_bytes + b"\0" + value_bytes + b"\0")
+    return rate, digest.hexdigest()
 
 
 def measure_throughput() -> dict:
     # Zipf-ish repetition: key i%997 with quadratic skew toward low ids.
     words = [f"word{(i * i) % DISTINCT_KEYS}" for i in range(NUM_RECORDS)]
-    rates = {"object": 0.0, "binary": 0.0}
+    rates: dict[str, list[float]] = {"opaque": [], "proven": []}
+    ratios = []
     digests = {}
-    for _ in range(TRIALS):
-        for mode in rates:
-            keys = [Text(word) for word in words]
-            rate, index = _collect_run(mode, keys)
-            rates[mode] = max(rates[mode], rate)  # best-of damps CI noise
-            digests[mode] = (index.total_records, index.total_bytes)
-    assert digests["binary"] == digests["object"], "collectors diverged"
+    for trial in range(TRIALS):
+        # Each trial times both paths back to back, in alternating
+        # order, so host speed drift cancels in the paired ratio.
+        order = ("opaque", "proven") if trial % 2 == 0 else ("proven", "opaque")
+        for mode in order:
+            rate, digests[mode] = _collect_run(mode, [Text(word) for word in words])
+            rates[mode].append(rate)
+        ratios.append(rates["proven"][-1] / rates["opaque"][-1])
+    assert digests["proven"] == digests["opaque"], "combine paths diverged"
     return {
         "records": NUM_RECORDS,
-        "object_records_per_sec": round(rates["object"]),
-        "binary_records_per_sec": round(rates["binary"]),
-        "speedup": round(rates["binary"] / rates["object"], 3),
+        "trials": TRIALS,
+        "opaque_combiner_records_per_sec": round(max(rates["opaque"])),
+        "proven_fold_records_per_sec": round(max(rates["proven"])),
+        "speedup": round(statistics.median(ratios), 3),
     }
 
 
@@ -133,7 +158,7 @@ def test_map_hotpath() -> None:
     print(json.dumps(report, indent=2))
 
     assert throughput["speedup"] >= THROUGHPUT_BAR, (
-        f"binary collector only {throughput['speedup']}x the object path "
+        f"proven fold only {throughput['speedup']}x the opaque combiner "
         f"(bar: {THROUGHPUT_BAR}x)"
     )
     assert shuffle["bytes_saved"] > 0, (

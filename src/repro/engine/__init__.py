@@ -42,8 +42,8 @@ from .pipeline import PipelineResult, PipelineTimeline, expected_spill_size
 from .reducetask import ReduceTaskResult, ReduceTaskRunner
 from .runner import JobResult, LocalJobRunner, build_collector, build_spill_policy
 from .shuffle import ShuffleService
-from .sorter import cut_partitions, sort_spill
-from .spillbuffer import RECORD_METADATA_BYTES, BufferedRecord, SpillBuffer
+from .binarybuffer import RECORD_METADATA_BYTES, BinarySpill, BinarySpillBuffer
+from .sorter import sort_spill
 from .spillpolicy import SpillPolicy, StaticSpillPolicy
 
 __all__ = [
@@ -76,12 +76,13 @@ __all__ = [
     "PipelineResult",
     "PipelineTimeline",
     "RECORD_METADATA_BYTES",
+    "BinarySpill",
+    "BinarySpillBuffer",
     "RecordListInput",
     "ReduceTaskResult",
     "ReduceTaskRunner",
     "Reducer",
     "ShuffleService",
-    "SpillBuffer",
     "SpillPolicy",
     "StandardCollector",
     "StaticSpillPolicy",
@@ -90,10 +91,8 @@ __all__ = [
     "TextInput",
     "USER_OPS",
     "UserCodeCosts",
-    "BufferedRecord",
     "build_collector",
     "build_spill_policy",
-    "cut_partitions",
     "expected_spill_size",
     "sort_spill",
 ]

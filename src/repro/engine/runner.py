@@ -22,7 +22,7 @@ from ..config import JobConf, Keys
 from ..errors import ConfigError, LintError
 from ..io.blockdisk import LocalDisk
 from ..serde.writable import Writable
-from .collector import BinaryStandardCollector, MapOutputCollector, StandardCollector
+from .collector import MapOutputCollector, StandardCollector
 from .combiner import CombinerRunner
 from .counters import Counters
 from .instrumentation import Ledger, TaskInstruments
@@ -148,12 +148,6 @@ def build_collector(
 
         codec = codec_by_name(codec_name)
 
-    collector_mode = conf.get_str(Keys.IO_COLLECTOR)
-    if collector_mode not in ("object", "binary"):
-        raise ConfigError(
-            f"{Keys.IO_COLLECTOR}={collector_mode!r} is not one of 'object', 'binary'"
-        )
-
     extra_kwargs: dict = {}
     grouping = conf.get_str(Keys.GROUPING)
     if grouping == "hash":
@@ -161,23 +155,15 @@ def build_collector(
 
         collector_cls = HashGroupingCollector
     elif grouping == "sort":
-        # The binary collector swaps the spill buffer for the packed
-        # byte-array + kvindex representation; everything downstream
-        # (spill boundaries, combine runs, spill files, charges) is
-        # byte-identical, so the choice is purely a hot-path concern.
-        collector_cls = (
-            BinaryStandardCollector if collector_mode == "binary" else StandardCollector
-        )
+        collector_cls = StandardCollector
         if conf.get_bool(Keys.EXEC_LIVE_PIPELINE):
             # Live mode: a real support thread runs sort/combine/spill
             # concurrently with the map thread, and the spill policy is
             # fed measured wall-clock rates.  (Hash grouping has no spill
             # pipeline to make live, so the flag only applies to sort.)
-            from ..exec.livepipeline import LiveBinaryCollector, LiveStandardCollector
+            from ..exec.livepipeline import LiveStandardCollector
 
-            collector_cls = (
-                LiveBinaryCollector if collector_mode == "binary" else LiveStandardCollector
-            )
+            collector_cls = LiveStandardCollector
             if job.combiner_factory is not None:
                 # The support thread needs its own combiner charging its
                 # own counters; sharing the map thread's would race.

@@ -1,70 +1,20 @@
-"""Spill sorting with comparison accounting.
+"""Spill sorting: the one entry point the collector calls per spill.
 
 Spill contents are ordered by ``(partition, key bytes)`` so a single
 sorted pass can be cut into per-partition segments — Hadoop's exact
-strategy (it sorts kvindices by partition then key).
-
-Comparison accounting has two modes, selected by
-``repro.instrument.exact.comparisons``:
-
-* ``model`` (default): charge ``n · log2(n)`` comparisons, the standard
-  comparison-sort cost; the actual sort runs natively (fast).
-* ``exact``: run the sort through a counting comparator and charge the
-  comparisons actually performed (slower; used by calibration tests to
-  validate that the model is a faithful stand-in).
+strategy (it sorts kvindices by partition then key).  The packed
+kvindex sort and its comparison accounting live on
+:meth:`~repro.engine.binarybuffer.BinarySpill.sort`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cmp_to_key
-from math import log2
-
-from ..serde.raw import memcmp
-from .spillbuffer import BufferedRecord
+from .binarybuffer import BinarySpill, SortStats
 
 
-@dataclass
-class SortStats:
-    """What one spill sort did."""
-
-    records: int = 0
-    comparisons: float = 0.0
-    bytes_moved: int = 0
-
-
-def sort_spill(records: list[BufferedRecord], exact_comparisons: bool = False) -> tuple[list[BufferedRecord], SortStats]:
-    """Sort spill records by (partition, key bytes); returns (sorted, stats)."""
-    stats = SortStats(records=len(records))
-    if len(records) <= 1:
-        return list(records), stats
-
-    stats.bytes_moved = sum(record.payload_bytes for record in records)
-
-    if not exact_comparisons:
-        ordered = sorted(records, key=lambda record: (record.partition, record.key))
-        stats.comparisons = len(records) * log2(len(records))
-        return ordered, stats
-
-    count = 0
-
-    def compare(a: BufferedRecord, b: BufferedRecord) -> int:
-        nonlocal count
-        count += 1
-        if a.partition != b.partition:
-            return -1 if a.partition < b.partition else 1
-        return memcmp(a.key, b.key)
-
-    ordered = sorted(records, key=cmp_to_key(compare))
-    stats.comparisons = float(count)
-    return ordered, stats
-
-
-def cut_partitions(
-    ordered: list[BufferedRecord], num_partitions: int
-) -> list[list[tuple[bytes, bytes]]]:
-    """Slice a (partition, key)-sorted record list into per-partition runs."""
-    partitions: list[list[tuple[bytes, bytes]]] = [[] for _ in range(num_partitions)]
-    for record in ordered:
-        partitions[record.partition].append((record.key, record.value))
-    return partitions
+def sort_spill(
+    spill: BinarySpill, exact_comparisons: bool = False
+) -> tuple[list[int], SortStats]:
+    """Order one drained spill; returns (arrival sequence numbers in
+    sorted order, stats for the SORT charge)."""
+    return spill.sort(exact_comparisons)

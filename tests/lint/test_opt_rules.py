@@ -15,10 +15,11 @@ import pytest
 
 from repro.apps.registry import build_application
 from repro.apps.unsafe import AliasingFieldReducer, ImpurePredicateMapper
-from repro.config import Keys
+from repro.config import JobConf, Keys
 from repro.engine.api import Mapper, Reducer
 from repro.engine.inputformat import TextInput
 from repro.engine.job import JobSpec
+from repro.engine.runner import LocalJobRunner
 from repro.io.prefilter import PreFilteredTextInput, RecordPredicate
 from repro.lint.findings import FOLD_VERIFIED, LintReport
 from repro.lint.opt import (
@@ -36,7 +37,7 @@ from repro.lint.opt import (
     plan_job,
 )
 from repro.lint.target import resolve_target
-from repro.serde.numeric import VIntWritable
+from repro.serde.numeric import IntWritable, LongWritable, VIntWritable
 from repro.serde.projection import FieldProjection
 from repro.serde.text import Text
 
@@ -151,6 +152,49 @@ def test_record_counting_fold_is_refused():
     assert factory is None
     assert decision.action == ACTION_REJECTED
     assert "counts records" in decision.reason
+
+
+# ----------------------------------------------------------------------
+# widening refusal: the wrapper must be the map-output value class
+# ----------------------------------------------------------------------
+class MaxIntMapper(Mapper):
+    def map(self, key, value, emit):
+        for _ in range(4):
+            emit(Text("k"), IntWritable(2147483647))
+
+
+class WideningReducer(Reducer):
+    def reduce(self, key, values, emit):
+        emit(key, LongWritable(sum(v.value for v in values)))
+
+
+def _widening_job(opt_mode: str) -> JobSpec:
+    return JobSpec(
+        name="opt-widening",
+        input_format=TextInput(b"x\n", split_size=8),
+        mapper_factory=MaxIntMapper,
+        reducer_factory=WideningReducer,
+        map_output_key_cls=Text,
+        map_output_value_cls=IntWritable,
+        conf=JobConf({Keys.LINT_OPT_MODE: opt_mode}),
+    )
+
+
+def test_widening_fold_is_refused():
+    """A combiner re-wraps each partial sum in the map-output class
+    (IntWritable), so synthesizing one for a reducer that widens to
+    LongWritable would overflow where the plain job does not."""
+    factory, decision = detect_fold(resolve_target(_widening_job("off")))
+    assert factory is None
+    assert decision.action == ACTION_REJECTED
+    assert "LongWritable" in decision.reason and "IntWritable" in decision.reason
+    assert decision.line == _line_of(WideningReducer, "LongWritable(sum")
+
+    plain = LocalJobRunner().run(_widening_job("off"))
+    applied = LocalJobRunner().run(_widening_job("apply"))
+    expected = [("k", 4 * 2147483647)]
+    assert [(k.value, v.value) for k, v in plain.output_pairs()] == expected
+    assert [(k.value, v.value) for k, v in applied.output_pairs()] == expected
 
 
 # ----------------------------------------------------------------------

@@ -167,9 +167,8 @@ class TestEndToEndIdentity:
         assert on.output_digest() == off.output_digest()
 
     def test_composes_with_binary_collector(self, tiny_text):
-        conf = {Keys.IO_COLLECTOR: "binary"}
         off = run_wordcount(tiny_text, node_combine=False)
-        on = run_wordcount(tiny_text, node_combine=True, **conf)
+        on = run_wordcount(tiny_text, node_combine=True)
         assert on.output_digest() == off.output_digest()
 
 
