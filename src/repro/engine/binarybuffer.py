@@ -14,11 +14,7 @@ Hadoop's real one, with no per-record Python object:
   ``uint32`` per record — Hadoop's kvmeta quad, plus an explicit value
   length so segments never need re-parsing.  :attr:`BinarySpill.kvindex`
   exposes the same entries as ``struct``-packed little-endian bytes
-  (:data:`KVINDEX_STRUCT`) for tools and the self-description contract;
-* **sort keys** are computed in one bulk pass at drain time: one
-  integer per record packing ``(partition, first 8 key bytes)`` so a
-  spill orders itself with a flat integer sort instead of a tuple-key
-  object sort.
+  (:data:`KVINDEX_STRUCT`) for tools and the self-description contract.
 
 Occupancy is accounted exactly as Hadoop does: serialized payload bytes
 plus :data:`RECORD_METADATA_BYTES` (Hadoop's 16-byte kvindex entry) per
@@ -27,13 +23,14 @@ arithmetic), so the buffer simply grows and drains; what matters — and
 is faithfully modelled — is the byte budget, the threshold, and the
 content of each spill.
 
-Sorting: the 8-byte key prefix is zero-right-padded and read big-endian,
-which makes it *monotone* with respect to lexicographic byte order
-(``a < b`` implies ``pad8(a[:8]) <= pad8(b[:8])``), so a flat sort of
-``(partition, prefix, arrival)`` integers is almost the full ordering.
-Records agreeing on ``(partition, prefix)`` form contiguous runs that a
-fix-up pass re-sorts stably by full key bytes, so equal keys keep
-arrival order.
+Sorting and grouping are bulk operations over a drained spill's
+columns: the kvindex's strided slices cut every key and value out of the
+payload with C-level ``map`` calls; two native stable sorts, by key
+bytes and then by partition, order the records by ``(partition, key
+bytes)`` with equal keys in arrival order; and ``itertools.groupby``
+over each partition's slice of that order yields its ``(key, [values])``
+groups for the combiner and the spill writer.  Python code runs once
+per group, never once per record.
 
 Comparison accounting has two modes, selected by
 ``repro.instrument.exact.comparisons``:
@@ -56,9 +53,12 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
+from itertools import groupby
 from math import log2
+from operator import add
 from typing import Iterator
 
 from ..errors import SpillBufferError
@@ -78,9 +78,6 @@ KVINDEX_ENTRY_BYTES = KVINDEX_STRUCT.size
 #: on every CPython platform we target; the guard keeps a big-itemsize
 #: platform functional (kvindex bytes are repacked portably anyway).
 _META_TYPECODE = "I" if array("I").itemsize == 4 else "L"
-
-PREFIX_BYTES = 8
-"""Key bytes folded into the precomputed integer sort key."""
 
 #: kvindex offsets are uint32: a buffer this large cannot be indexed.
 _MAX_ADDRESSABLE = 0xFFFFFFFF
@@ -114,20 +111,6 @@ class SortStats:
     bytes_moved: int = 0
 
 
-def key_prefix(key: bytes) -> int:
-    """First 8 key bytes, zero-right-padded, as a big-endian integer.
-
-    Right-padding keeps the mapping monotone across key lengths
-    (``b"ab" < b"b"`` and ``pad8(b"ab") < pad8(b"b")``); keys sharing a
-    prefix — including short keys with trailing NULs — tie here and are
-    settled by the full-key fix-up pass.
-    """
-    head = key[:PREFIX_BYTES]
-    if len(head) < PREFIX_BYTES:
-        return int.from_bytes(head, "big") << ((PREFIX_BYTES - len(head)) * 8)
-    return int.from_bytes(head, "big")
-
-
 def pack_kvindex_entry(
     partition: int, key_off: int, key_len: int, val_off: int, val_len: int
 ) -> bytes:
@@ -146,12 +129,11 @@ class BinarySpill:
 
     data: bytes
     meta: "array[int]"  # flat uint32s, 5 per record (see KVINDEX_STRUCT order)
-    sortkeys: list[int]
     payload_bytes: int
 
     @property
     def record_count(self) -> int:
-        return len(self.sortkeys)
+        return len(self.meta) // 5
 
     @property
     def kvindex(self) -> bytes:
@@ -178,14 +160,18 @@ class BinarySpill:
             data[val_off : val_off + meta[base + 4]],
         )
 
-    def key_of(self, seq: int) -> bytes:
-        meta = self.meta
-        base = 5 * seq
-        key_off = meta[base + 1]
-        return self.data[key_off : key_off + meta[base + 2]]
-
     def __iter__(self) -> Iterator[tuple[int, bytes, bytes]]:
         return (self.entry(seq) for seq in range(self.record_count))
+
+    @cached_property
+    def _columns(self) -> tuple["array[int]", list[bytes], list[bytes]]:
+        """Partition, key and value of every record in arrival order,
+        sliced out of the payload in bulk."""
+        meta, cut = self.meta, self.data.__getitem__
+        key_offs, val_offs = meta[1::5], meta[3::5]
+        keys = map(cut, map(slice, key_offs, map(add, key_offs, meta[2::5])))
+        values = map(cut, map(slice, val_offs, map(add, val_offs, meta[4::5])))
+        return meta[0::5], list(keys), list(values)
 
     # ------------------------------------------------------------------
     def sort(self, exact_comparisons: bool = False) -> tuple[list[int], SortStats]:
@@ -203,49 +189,37 @@ class BinarySpill:
         if exact_comparisons:
             return self._sort_exact(stats)
 
-        # Pack (sortkey, arrival) into one integer per record: the sort
-        # runs over flat ints with no key function, and the arrival
-        # number in the low bits keeps it stable by construction.
-        packed = [(sortkey << 32) | seq for seq, sortkey in enumerate(self.sortkeys)]
-        packed.sort()
-        order = [p & 0xFFFFFFFF for p in packed]
-
-        # Fix-up: records tying on (partition, prefix) are re-sorted by
-        # full key bytes.  list.sort is stable, so equal full keys keep
-        # arrival order.
-        i = 0
-        while i < n:
-            group = packed[i] >> 32
-            j = i + 1
-            while j < n and (packed[j] >> 32) == group:
-                j += 1
-            if j - i > 1:
-                run = order[i:j]
-                run.sort(key=self.key_of)
-                order[i:j] = run
-            i = j
-
+        # Native stable sorts, least significant field first: by key,
+        # then by partition.  Equal keys keep arrival order.
+        partitions, keys, _ = self._columns
+        order = sorted(range(n), key=keys.__getitem__)
+        order.sort(key=partitions.__getitem__)
         stats.comparisons = n * log2(n)
         return order, stats
 
-    def cut(self, order: list[int], num_partitions: int) -> list[list[tuple[bytes, bytes]]]:
-        """Slice the records, in *order* (from :meth:`sort`), into
-        per-partition ``(key, value)`` runs."""
-        partitions: list[list[tuple[bytes, bytes]]] = [[] for _ in range(num_partitions)]
-        appends = [run.append for run in partitions]
-        data = self.data
-        meta = self.meta
-        for seq in order:
-            base = 5 * seq
-            key_off = meta[base + 1]
-            val_off = meta[base + 3]
-            appends[meta[base]](
-                (
-                    data[key_off : key_off + meta[base + 2]],
-                    data[val_off : val_off + meta[base + 4]],
-                )
+    def groups(
+        self, order: list[int], num_partitions: int
+    ) -> list[list[tuple[bytes, list[bytes]]]]:
+        """Cut the records, in *order* (from :meth:`sort`), into
+        per-partition runs of ``(key, [values])`` equal-key groups."""
+        partitions, keys, values = self._columns
+        sorted_partitions = list(map(partitions.__getitem__, order))
+        key_of, value_of = keys.__getitem__, values.__getitem__
+        runs: list[list[tuple[bytes, list[bytes]]]] = []
+        start = 0
+        for partition in range(num_partitions):
+            end = bisect_right(sorted_partitions, partition, start)
+            runs.append([
+                (key, list(map(value_of, seqs)))
+                for key, seqs in groupby(order[start:end], key_of)
+            ])
+            start = end
+        if start < len(order):
+            raise IndexError(
+                f"partition {sorted_partitions[start]} out of range for "
+                f"{num_partitions} partitions"
             )
-        return partitions
+        return runs
 
     def _sort_exact(self, stats: SortStats) -> tuple[list[int], SortStats]:
         """Sort through a counting comparator over the records in arrival
@@ -269,9 +243,7 @@ class BinarySpillBuffer:
     """Bounded packed accumulation buffer for serialized map output.
 
     Appends are byte copies into a growing ``bytearray`` plus five ints
-    into a flat ``array``, with no per-record object construction and no
-    per-record sort-key arithmetic (sort keys are computed in one bulk
-    pass when the buffer drains).
+    into a flat ``array``, with no per-record object construction.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -333,30 +305,11 @@ class BinarySpillBuffer:
         )
 
     def drain(self) -> BinarySpill:
-        """Remove and return all buffered records (a spill's content).
-
-        Sort keys are computed here, one tight pass over the kvindex —
-        per-record work deferred off the collect hot loop."""
-        data = bytes(self._data)
-        meta = self._meta
-        from_bytes = int.from_bytes
-        sortkeys: list[int] = []
-        push = sortkeys.append
-        for base in range(0, len(meta), 5):
-            key_off = meta[base + 1]
-            key_len = meta[base + 2]
-            if key_len >= PREFIX_BYTES:
-                prefix = from_bytes(data[key_off : key_off + PREFIX_BYTES], "big")
-            else:
-                prefix = from_bytes(data[key_off : key_off + key_len], "big") << (
-                    (PREFIX_BYTES - key_len) * 8
-                )
-            push((meta[base] << 64) | prefix)
+        """Remove and return all buffered records (a spill's content)."""
         spill = BinarySpill(
-            data=data,
-            meta=meta,
-            sortkeys=sortkeys,
-            payload_bytes=self._occupancy - RECORD_METADATA_BYTES * len(sortkeys),
+            data=bytes(self._data),
+            meta=self._meta,
+            payload_bytes=self._occupancy - RECORD_METADATA_BYTES * self.record_count,
         )
         self._data = bytearray()
         self._meta = array(_META_TYPECODE)

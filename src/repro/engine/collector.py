@@ -83,8 +83,8 @@ class StandardCollector(MapOutputCollector):
     """Hadoop's store-sort-combine-spill-merge dataflow, instrumented.
 
     The collect loop appends serialized bytes into one contiguous
-    buffer plus a flat uint32 kvindex, and spills order themselves with
-    the key-prefix integer sort (:mod:`repro.engine.binarybuffer`).
+    buffer plus a flat uint32 kvindex, and spills sort and group
+    themselves in bulk (:mod:`repro.engine.binarybuffer`).
     """
 
     def __init__(
@@ -259,33 +259,20 @@ class StandardCollector(MapOutputCollector):
         )
 
         # --- combine (support thread, user code) ---
-        partitions = spill.cut(order, self.num_partitions)
-        if combiner_runner is not None:
-            combined: list[list[SerdePair]] = []
-            for run in partitions:
+        groups = spill.groups(order, self.num_partitions)
+        if combiner_runner is None:
+            partitions = [
+                [(key, value) for key, values in run for value in values] for run in groups
+            ]
+        else:
+            partitions = []
+            for run in groups:
                 out_run: list[SerdePair] = []
-                group_key: bytes | None = None
-                group_values: list[bytes] = []
-                for kb, vb in run:
-                    if kb != group_key:
-                        if group_key is not None:
-                            out, work = self._run_combiner(
-                                group_key, group_values, instruments, combiner_runner
-                            )
-                            out_run.extend(out)
-                            consume_work += work
-                        group_key = kb
-                        group_values = [vb]
-                    else:
-                        group_values.append(vb)
-                if group_key is not None:
-                    out, work = self._run_combiner(
-                        group_key, group_values, instruments, combiner_runner
-                    )
-                    out_run.extend(out)
+                for key, values in run:
+                    out, work = self._run_combiner(key, values, instruments, combiner_runner)
+                    out_run += out
                     consume_work += work
-                combined.append(out_run)
-            partitions = combined
+                partitions.append(out_run)
 
         # --- write spill file (support thread) ---
         path = f"{self.task_id}.spill{len(self.spill_indices)}"

@@ -7,7 +7,8 @@ Both merge sites of the MapReduce pipeline use this module:
 * the **reduce-side merge**, which merges fetched map-output segments
   and feeds equal-key groups to ``reduce()``.
 
-The merge is a standard heap-based k-way merge over raw key bytes.  The
+The merge concatenates the sorted runs and stable-sorts them by raw key
+bytes — a native sort that gives a heap merge's exact order.  The
 returned :class:`MergeStats` reports exactly how much work the merge
 did — comparisons, records and bytes moved — so the instrumentation
 ledger can charge it.
@@ -15,9 +16,10 @@ ledger can charge it.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import chain, groupby
 from math import log2
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from ..serde.writable import SerdePair
@@ -41,50 +43,34 @@ def merge_runs(
 ) -> Iterator[SerdePair]:
     """Merge sorted runs of serialized records into one sorted stream.
 
-    Heap comparisons are counted as ``2·log2(k)`` per record popped (the
-    standard sift cost for a k-ary heap of streams), matching how the
-    cost model charges merges.  With a single run the records pass
+    The runs are concatenated in stream order and stable-sorted by key,
+    which on sorted runs is exactly a heap merge's order: equal keys come
+    out by stream index, then by position in their stream.  Comparisons
+    are charged as a heap merge would make them: ``2·log2(k)`` per record
+    (the sift cost for a heap of ``k`` non-empty streams), matching how
+    the cost model charges merges.  With a single run the records pass
     through untouched and no comparisons are charged.
     """
     if stats is None:
         stats = MergeStats()
-    live = [iter(run) for run in runs]
-    stats.streams = len(live)
+    stats.streams = len(runs)
+    if len(runs) == 1:
+        merged = list(runs[0])
+    else:
+        lists = [run if isinstance(run, list) else list(run) for run in runs]
+        merged = sorted(chain.from_iterable(lists), key=itemgetter(0))
+        live = sum(1 for run in lists if run)
+        stats.comparisons += len(merged) * int(max(1.0, 2.0 * log2(max(2, live))))
+    size = _payload_bytes(merged)
+    stats.records_in += len(merged)
+    stats.records_out += len(merged)
+    stats.bytes_in += size
+    stats.bytes_out += size
+    yield from merged
 
-    if len(live) == 1:
-        for key, value in live[0]:
-            stats.records_in += 1
-            stats.records_out += 1
-            size = len(key) + len(value)
-            stats.bytes_in += size
-            stats.bytes_out += size
-            yield key, value
-        return
 
-    heap: list[tuple[bytes, int, bytes, Iterator[SerdePair]]] = []
-    for stream_id, stream in enumerate(live):
-        try:
-            key, value = next(stream)
-        except StopIteration:
-            continue
-        heap.append((key, stream_id, value, stream))
-    heapq.heapify(heap)
-    cost_per_pop = max(1.0, 2.0 * log2(max(2, len(heap))))
-
-    while heap:
-        key, stream_id, value, stream = heapq.heappop(heap)
-        stats.records_in += 1
-        stats.records_out += 1
-        size = len(key) + len(value)
-        stats.bytes_in += size
-        stats.bytes_out += size
-        stats.comparisons += int(cost_per_pop)
-        yield key, value
-        try:
-            next_key, next_value = next(stream)
-        except StopIteration:
-            continue
-        heapq.heappush(heap, (next_key, stream_id, next_value, stream))
+def _payload_bytes(records: list[SerdePair]) -> int:
+    return sum(map(len, chain.from_iterable(records)))
 
 
 GroupFn = Callable[[bytes, list[bytes]], list[SerdePair]]
@@ -98,8 +84,7 @@ def merge_and_combine(
 ) -> Iterator[SerdePair]:
     """Merge sorted runs, applying *combine* to each equal-key group.
 
-    With ``combine=None`` this degrades to :func:`merge_runs` (but still
-    groups, so the stats reflect the grouping comparisons).  The output
+    With ``combine=None`` this is :func:`merge_runs`.  The output
     remains sorted because combining preserves each group's key.
     """
     if stats is None:
@@ -109,50 +94,21 @@ def merge_and_combine(
         yield from merged
         return
 
-    # Re-count output side: merge_runs already counted records_out for the
-    # pass-through; reset and recount after combining.
-    current_key: bytes | None = None
-    current_values: list[bytes] = []
-    records_out = 0
-    bytes_out = 0
-
-    def flush() -> Iterator[SerdePair]:
-        nonlocal records_out, bytes_out
-        assert current_key is not None
-        for out_key, out_value in combine(current_key, current_values):
-            records_out += 1
-            bytes_out += len(out_key) + len(out_value)
-            yield out_key, out_value
-
-    for key, value in merged:
-        if key != current_key:
-            if current_key is not None:
-                yield from flush()
-            current_key = key
-            current_values = [value]
-        else:
-            current_values.append(value)
-    if current_key is not None:
-        yield from flush()
-
-    stats.records_out = records_out
-    stats.bytes_out = bytes_out
+    # merge_runs counted its pass-through output; count what combining
+    # emits instead.
+    combined: list[SerdePair] = []
+    for key, group in group_sorted(merged):
+        combined += combine(key, group)
+    stats.records_out = len(combined)
+    stats.bytes_out = _payload_bytes(combined)
+    yield from combined
 
 
 def group_sorted(records: Iterable[SerdePair]) -> Iterator[tuple[bytes, list[bytes]]]:
     """Group a key-sorted record stream into (key, [values]) runs."""
-    current_key: bytes | None = None
-    current_values: list[bytes] = []
-    for key, value in records:
-        if key != current_key:
-            if current_key is not None:
-                yield current_key, current_values
-            current_key = key
-            current_values = [value]
-        else:
-            current_values.append(value)
-    if current_key is not None:
-        yield current_key, current_values
+    value_of = itemgetter(1)
+    for key, group in groupby(records, itemgetter(0)):
+        yield key, list(map(value_of, group))
 
 
 def group_sorted_by(

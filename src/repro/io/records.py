@@ -11,6 +11,7 @@ segments, so one reader/writer pair serves the whole pipeline.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ..errors import SerdeError
@@ -28,15 +29,33 @@ def encode_record(key: bytes, value: bytes) -> bytes:
     return encode_vint(len(key)) + key + encode_vint(len(value)) + value
 
 
+class _FrameLengths(dict):
+    """``encode_vint(n)`` for a length *n*: one-byte lengths (0 ≤ n < 64)
+    are preloaded, any other length is encoded on demand."""
+
+    def __missing__(self, length: int) -> bytes:
+        return encode_vint(length)
+
+
+_FRAME_LENGTHS = _FrameLengths((n, encode_vint(n)) for n in range(64))
+
+#: Length encoded by each one-byte vint that is a valid (even, i.e.
+#: non-negative) length; -1 for every byte the full decoder must read.
+_ONE_BYTE_LENGTHS = tuple(b >> 1 if b < 0x80 and not b & 1 else -1 for b in range(256))
+
+
 def encode_records(records: Iterable[SerdePair]) -> bytes:
     """Frame a record sequence into one byte string."""
-    out = bytearray()
-    for key, value in records:
-        out += encode_vint(len(key))
-        out += key
-        out += encode_vint(len(value))
-        out += value
-    return bytes(out)
+    pairs = list(records)
+    if not pairs:
+        return b""
+    keys, values = zip(*pairs)
+    frame = _FRAME_LENGTHS.__getitem__
+    return b"".join(
+        chain.from_iterable(
+            zip(map(frame, map(len, keys)), keys, map(frame, map(len, values)), values)
+        )
+    )
 
 
 def decode_records(data: bytes, offset: int = 0, end: int | None = None) -> Iterator[SerdePair]:
@@ -46,14 +65,24 @@ def decode_records(data: bytes, offset: int = 0, end: int | None = None) -> Iter
     lengths; a well-formed stream always ends exactly at *end*.
     """
     pos = offset
-    stop = len(data) if end is None else end
+    size = len(data)
+    stop = size if end is None else end
+    lengths = _ONE_BYTE_LENGTHS
     while pos < stop:
-        key_len, pos = decode_vint(data, pos)
+        key_len = lengths[data[pos]] if pos < size else -1
+        if key_len < 0:
+            key_len, pos = decode_vint(data, pos)
+        else:
+            pos += 1
         if key_len < 0 or pos + key_len > stop:
             raise SerdeError(f"corrupt record frame at offset {pos}: key length {key_len}")
         key = data[pos : pos + key_len]
         pos += key_len
-        value_len, pos = decode_vint(data, pos)
+        value_len = lengths[data[pos]] if pos < size else -1
+        if value_len < 0:
+            value_len, pos = decode_vint(data, pos)
+        else:
+            pos += 1
         if value_len < 0 or pos + value_len > stop:
             raise SerdeError(f"corrupt record frame at offset {pos}: value length {value_len}")
         value = data[pos : pos + value_len]

@@ -100,12 +100,8 @@ def write_spill(
     with disk.create(path) as writer:
         for partition, records in enumerate(partitions):
             offset = writer.tell()
-            count = 0
-            payload = bytearray()
-            for key, value in records:
-                payload += encode_records(((key, value),))
-                count += 1
-            raw = bytes(payload)
+            run = list(records)
+            raw = encode_records(run)
             stored = encode_segment(codec, raw) if codec is not None else raw
             writer.write(stored)
             entries.append(
@@ -113,7 +109,7 @@ def write_spill(
                     partition=partition,
                     offset=offset,
                     length=len(stored),
-                    records=count,
+                    records=len(run),
                     raw_length=len(raw),
                     crc=zlib.crc32(stored),
                 )

@@ -133,7 +133,10 @@ def encode_vint(value: int) -> bytes:
 
     Small magnitudes encode in one byte — important because text-centric
     values are overwhelmingly small counters (WordCount emits ``1``\\ s).
+    Those (-64 ≤ value < 64) come from a table.
     """
+    if type(value) is int and -64 <= value < 64:
+        return _ONE_BYTE_VINTS[value]
     if not isinstance(value, int) or isinstance(value, bool):
         raise SerdeError(f"vint encodes int, got {type(value).__name__}")
     zigzag = (value << 1) ^ (value >> 63) if value < 0 else value << 1
@@ -149,8 +152,19 @@ def encode_vint(value: int) -> bytes:
             return bytes(out)
 
 
+#: ``encode_vint(v)`` for -64 ≤ v < 64, indexed by ``v`` itself: a
+#: negative index reads from the end, where the negatives are stored.
+_ONE_BYTE_VINTS = tuple(
+    bytes([v << 1 if v >= 0 else ~(v << 1)]) for v in (*range(64), *range(-64, 0))
+)
+
+
 def decode_vint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a vint from *data* at *offset*; returns (value, new_offset)."""
+    if offset < len(data):
+        byte = data[offset]
+        if byte < 0x80:
+            return (byte >> 1) ^ -(byte & 1), offset + 1
     result = 0
     shift = 0
     pos = offset
@@ -198,7 +212,10 @@ class VIntWritable(Writable):
         return self._value
 
     def to_bytes(self) -> bytes:
-        return encode_vint(self._value)
+        value = self._value
+        if -64 <= value < 64:
+            return _ONE_BYTE_VINTS[value]
+        return encode_vint(value)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VIntWritable":

@@ -283,10 +283,19 @@ class ShuffleServer:
             # lengths and CRC describe the true bytes, the body does not.
             half = len(stored) // 2
             body = stored[:half] + b"\x00" * (len(stored) - half)
-        wire.send_frame(conn, wire.OP_DATA, wire.encode_data(header, body))
+        # Count before sending: a client holding every byte may read the
+        # stats at once.  A send that fails was never served, so it is
+        # taken back.
         with self._lock:
             self._requests_served += 1
             self._bytes_served += len(body)
+        try:
+            wire.send_frame(conn, wire.OP_DATA, wire.encode_data(header, body))
+        except BaseException:
+            with self._lock:
+                self._requests_served -= 1
+                self._bytes_served -= len(body)
+            raise
 
     def _next_fault(self, task_id: str, partition: int) -> str | None:
         """The fault to apply to this request, or None.  Only the first

@@ -60,7 +60,12 @@ def test_dropped_heartbeats_kill_the_silent_worker(tiny_text) -> None:
     faulty = run_cluster(
         tiny_text * 10,
         extra={
-            Keys.FAULTS_SPEC: "master.heartbeat_drop:0.4:999",
+            # Every first task attempt also stalls 0.25 s, so the job
+            # outlives the victim's 8-miss dead threshold however fast
+            # the tasks themselves run (the heartbeat thread keeps
+            # pinging through a stall).
+            Keys.FAULTS_SPEC: "master.heartbeat_drop:0.4:999;worker.stall:1.0",
+            Keys.FAULTS_DELAY: 0.25,
             Keys.FAULTS_SEED: 2,
             # Tight enough that the victim dies within the job's life.
             Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.01,

@@ -10,7 +10,7 @@ hypothesis-checked §IV-C theory are measuring the same system.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.spillmatcher.analysis import evolve_pipeline
@@ -59,6 +59,7 @@ def test_engine_matches_analytic_elapsed(p, c, x):
 
 @settings(max_examples=40, deadline=None)
 @given(p=rates, c=rates, x=st.floats(min_value=0.1, max_value=0.95))
+@example(p=2.0, c=1.0, x=0.5005882162766252)
 def test_engine_matches_analytic_waits_stable_regime(p, c, x):
     """Per-bucket wait agreement where spill sizes converge (map not
     faster than support, or x at/above the steady threshold)."""
@@ -68,7 +69,11 @@ def test_engine_matches_analytic_waits_stable_regime(p, c, x):
         # covered by the elapsed test above.
         return
     engine = run_engine_timeline(p, c, x)
-    analytic = evolve_pipeline(p, c, x, CAPACITY, TOTAL)
+    # The engine cuts spills at int(x·M) bytes, so it runs at that
+    # threshold, not at x: at p = 2c the wait jumps at x = ½, and a
+    # draw just above ½ truncates to exactly M/2 (wait-free) while the
+    # continuous recurrence at x itself blocks.
+    analytic = evolve_pipeline(p, c, int(x * CAPACITY) / CAPACITY, CAPACITY, TOTAL)
 
     # Size-rounding slack: the engine spills integer bytes while the
     # analytic recurrence is continuous, and a per-spill wait is the

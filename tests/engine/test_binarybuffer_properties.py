@@ -4,30 +4,32 @@ Two invariants carry the binary collector's byte-identity claim:
 
 * the struct-packed kvindex is lossless — pack/unpack round-trips every
   entry, and a buffered record reads back exactly as appended;
-* the key-prefix bucket sort (flat integer sort + full-key fix-up)
-  produces exactly the order of a stable sort by ``(partition, key
-  bytes)`` — including insertion-order stability for equal keys.
+* the spill sort produces exactly the order of a stable sort by
+  ``(partition, key bytes)`` — including insertion-order stability for
+  equal keys — and never inverts byte order, and the spill's grouping
+  equals that stable sort followed by grouping equal keys.
 
 Hypothesis drives both over adversarial keys: empty, sharing long
-prefixes, differing only past the 8-byte prefix, trailing NULs (which
-collide with the prefix's zero padding), and arbitrary non-ASCII bytes.
+prefixes, differing only past 8 bytes, trailing NULs, and arbitrary
+non-ASCII bytes.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from itertools import groupby
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.binarybuffer import (
     KVINDEX_ENTRY_BYTES,
     BinarySpillBuffer,
-    key_prefix,
     pack_kvindex_entry,
     unpack_kvindex_entry,
 )
 
-# Keys that stress the prefix sort: empty, shared prefixes longer than 8
-# bytes, trailing NULs, and raw non-ASCII bytes.
+# Keys that stress a byte-order sort: empty, shared prefixes longer than
+# 8 bytes, trailing NULs, and raw non-ASCII bytes.
 tricky_keys = st.one_of(
     st.binary(min_size=0, max_size=12),
     st.binary(min_size=0, max_size=3).map(lambda suffix: b"sameprefix" + suffix),
@@ -69,15 +71,30 @@ def test_buffered_records_read_back_exactly(recs):
     assert list(spill) == recs
 
 
-@settings(max_examples=150, deadline=None)
-@given(recs=records, exact=st.booleans())
-def test_bucket_sort_matches_stable_sorted(recs, exact):
-    """The prefix sort + fix-up equals a stable sort by (partition, key)
-    — positionally, so equal keys keep arrival order."""
+#: Equal keys, keys equal on their first 8 bytes, and trailing NULs,
+#: across partitions: both sort modes must see these.
+_TIES = [
+    (1, b"sameprefix\x01", b"1"), (0, b"a\x00", b"2"), (1, b"sameprefix", b"3"),
+    (0, b"a", b"4"), (1, b"sameprefix\x01", b"5"), (0, b"", b"6"), (0, b"a\x00", b"7"),
+]
+
+
+def drained(recs):
     buffer = BinarySpillBuffer(1 << 20)
     for partition, key, value in recs:
         buffer.append(partition, key, value)
-    spill = buffer.drain()
+    return buffer.drain()
+
+
+@settings(max_examples=150, deadline=None)
+@given(recs=records, exact=st.booleans())
+@example(recs=_TIES, exact=False)
+@example(recs=_TIES, exact=True)
+def test_bucket_sort_matches_stable_sorted(recs, exact):
+    """The spill sort equals a stable sort by (partition, key) —
+    positionally, so equal keys keep arrival order — and never puts a
+    strictly greater key before a smaller one."""
+    spill = drained(recs)
     order, stats = spill.sort(exact_comparisons=exact)
 
     reference = sorted(
@@ -85,14 +102,19 @@ def test_bucket_sort_matches_stable_sorted(recs, exact):
     )
     assert order == reference
     assert stats.records == len(recs)
+    ordered = [recs[seq][:2] for seq in order]
+    assert all(a <= b for a, b in zip(ordered, ordered[1:]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=tricky_keys, b=tricky_keys)
-def test_key_prefix_is_monotone(a, b):
-    """a < b implies prefix(a) <= prefix(b): ties fall to the fix-up
-    pass, but the flat sort never inverts a strict byte order."""
-    if a < b:
-        assert key_prefix(a) <= key_prefix(b)
-    elif a == b:
-        assert key_prefix(a) == key_prefix(b)
+@settings(max_examples=150, deadline=None)
+@given(recs=records)
+def test_groups_match_stable_sort_then_grouping(recs):
+    """Per-partition groups equal a stable sort by (partition, key)
+    followed by grouping equal keys, values in arrival order."""
+    spill = drained(recs)
+    order, _ = spill.sort()
+    expected = [[] for _ in range(4)]
+    stable = sorted(recs, key=lambda rec: (rec[0], rec[1]))
+    for (partition, key), group in groupby(stable, key=lambda rec: (rec[0], rec[1])):
+        expected[partition].append((key, [value for _, _, value in group]))
+    assert spill.groups(order, 4) == expected

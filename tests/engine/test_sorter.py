@@ -1,4 +1,6 @@
-"""Tests for spill sorting and the per-partition cut."""
+"""Tests for spill sorting and the per-partition grouping."""
+
+import pytest
 
 from repro.engine.binarybuffer import BinarySpill, BinarySpillBuffer
 from repro.engine.sorter import sort_spill
@@ -57,15 +59,34 @@ class TestSortSpill:
 
 
 class TestCutPartitions:
+    """Cutting a sorted spill into per-partition ``(key, [values])`` groups."""
+
     def test_slices_per_partition(self):
         spill = spill_of(record(0, b"a"), record(0, b"b"), record(2, b"c"))
         order, _ = sort_spill(spill)
-        partitions = spill.cut(order, 3)
+        partitions = spill.groups(order, 3)
         assert [len(p) for p in partitions] == [2, 0, 1]
-        assert partitions[2] == [(b"c", b"v")]
+        assert partitions[2] == [(b"c", [b"v"])]
 
     def test_preserves_sort_within_partition(self):
         spill = spill_of(record(1, b"z"), record(1, b"a"), record(1, b"m"))
         order, _ = sort_spill(spill)
-        partitions = spill.cut(order, 2)
+        partitions = spill.groups(order, 2)
         assert [k for k, _ in partitions[1]] == [b"a", b"m", b"z"]
+
+    def test_groups_equal_keys_in_arrival_order(self):
+        spill = spill_of(
+            record(1, b"k", b"1"), record(0, b"k", b"2"), record(1, b"k", b"3"),
+            record(1, b"j", b"4"),
+        )
+        order, _ = sort_spill(spill)
+        assert spill.groups(order, 2) == [
+            [(b"k", [b"2"])],
+            [(b"j", [b"4"]), (b"k", [b"1", b"3"])],
+        ]
+
+    def test_partition_out_of_range_is_an_error(self):
+        spill = spill_of(record(0, b"a"), record(3, b"b"))
+        order, _ = sort_spill(spill)
+        with pytest.raises(IndexError, match="partition 3 out of range for 2 partitions"):
+            spill.groups(order, 2)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.errors import ShuffleError
@@ -129,9 +127,6 @@ def test_handler_threads_are_pruned_as_they_finish(server):
     # Handlers for completed fetches must have been dropped; only the
     # tail of in-flight (or just-finished, not-yet-pruned) ones remain.
     assert len(server._handlers) < fetches / 2
-    # The handler thread bumps its stats *after* replying, so the last
-    # fetch's count can trail the client's return briefly.
-    deadline = time.monotonic() + 5.0
-    while server.snapshot().requests_served < fetches and time.monotonic() < deadline:
-        time.sleep(0.01)
+    # The handler counts a request before replying, so every fetch the
+    # client saw complete is already in the stats.
     assert server.snapshot().requests_served == fetches
