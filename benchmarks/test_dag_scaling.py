@@ -21,7 +21,7 @@ from repro.config import Keys
 from repro.dag import PipelineRunner
 from repro.engine.counters import Counter
 
-BACKENDS = ("serial", "thread")
+BACKENDS = ("serial", "process")
 SCALE = 0.05
 OUTPUT_FILE = "BENCH_dag.json"
 

@@ -26,8 +26,9 @@ from ..serde.writable import Writable
 from .base import AppJob, make_conf
 from .nlp.tokenizer import tokenize
 
-#: Module-level mutable state the mapper leaks into — racy under the
-#: thread backend, silently diverging under the process backend's fork.
+#: Module-level mutable state the mapper leaks into — racy when pipeline
+#: stages run on threads in one process, silently diverging under the
+#: process backend's fork.
 RECORDS_SEEN = 0
 
 

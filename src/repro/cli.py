@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli run wordcount --config combined --scale 0.1
     python -m repro.cli run wordcount --backend process --workers 4
     python -m repro.cli run wordcount --backend process --shuffle net --shuffle-fetchers 8
-    python -m repro.cli pipeline textindex --backend thread
+    python -m repro.cli pipeline textindex --backend process --workers 2
     python -m repro.cli pipeline pagerank --scale 0.03
     python -m repro.cli stream sessionize --input visits.log --state-dir .stream --generate
     python -m repro.cli cluster invertedindex --cluster local --config freq --gantt
@@ -67,6 +67,7 @@ from .cluster.jobtracker import ClusterJobRunner
 from .cluster.specs import PRESET_CLUSTERS
 from .config import Keys
 from .engine.runner import LocalJobRunner
+from .exec import backend_names
 from .experiments import runall
 from .experiments.common import OPTIMIZATION_CONFIGS, build_app
 from .shutdown import graceful_termination
@@ -542,12 +543,9 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print("execution backends (`repro run <app> --backend <name>`):")
     backend_blurbs = {
         "serial": "in-order, in-thread reference backend",
-        "thread": "task attempts over a thread pool",
         "process": "forked worker processes with crash recovery",
         "cluster": "master/worker daemons with heartbeats, locality, speculation",
     }
-    from .exec import backend_names
-
     for name in backend_names():
         print(f"  {name:15s} {backend_blurbs.get(name, '')}")
     print()
@@ -601,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="run an app on the single-node engine")
     _add_common_app_args(run_parser)
     run_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "cluster"),
+        "--backend", choices=backend_names(),
         default="serial", help="execution backend for task attempts",
     )
     run_parser.add_argument(
@@ -653,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
     pipe_parser.add_argument("name", choices=PIPELINE_NAMES)
     pipe_parser.add_argument("--scale", type=float, default=0.05, help="dataset scale knob")
     pipe_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "cluster"),
+        "--backend", choices=backend_names(),
         default="serial", help="execution backend every stage's job runs on",
     )
     pipe_parser.add_argument(
@@ -716,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
         help="dataset scale knob for --generate",
     )
     stream_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "cluster"),
+        "--backend", choices=backend_names(),
         default="serial", help="execution backend every batch's jobs run on",
     )
     stream_parser.add_argument(

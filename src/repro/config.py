@@ -43,7 +43,7 @@ class Keys:
     SPILLMATCHER_MAX_PERCENT = "repro.spillmatcher.max.percent"
 
     # --- execution backend (repro.exec) ---
-    EXEC_BACKEND = "repro.exec.backend"  # serial | thread | process
+    EXEC_BACKEND = "repro.exec.backend"  # serial | process | cluster
     EXEC_WORKERS = "repro.exec.workers"  # worker count (0 = one per CPU)
     EXEC_LIVE_PIPELINE = "repro.exec.live.pipeline"  # real support thread per map task
 
@@ -54,11 +54,6 @@ class Keys:
     SHUFFLE_BACKOFF_BASE = "repro.shuffle.backoff.base.seconds"
     SHUFFLE_BACKOFF_MAX = "repro.shuffle.backoff.max.seconds"
     SHUFFLE_TIMEOUT = "repro.shuffle.timeout.seconds"  # connect/read timeout
-    SHUFFLE_FAULT_KIND = "repro.shuffle.fault.kind"  # none|refuse|drop|truncate|delay
-    SHUFFLE_FAULT_FRACTION = "repro.shuffle.fault.fraction"  # fraction of fetches hit
-    SHUFFLE_FAULT_ATTEMPTS = "repro.shuffle.fault.attempts"  # faulty attempts per fetch
-    SHUFFLE_FAULT_DELAY = "repro.shuffle.fault.delay.seconds"  # for kind=delay
-    SHUFFLE_FAULT_SEED = "repro.shuffle.fault.seed"
     # --- in-node combining before shuffle (arXiv 1511.04861) ---
     NODE_COMBINE = "repro.shuffle.node.combine"  # fold map outputs per node pre-fetch
     NODE_COMBINE_BUFFER_BYTES = "repro.shuffle.node.combine.buffer.bytes"  # hash cap
@@ -158,11 +153,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SHUFFLE_BACKOFF_BASE: 0.02,
     Keys.SHUFFLE_BACKOFF_MAX: 0.25,
     Keys.SHUFFLE_TIMEOUT: 10.0,
-    Keys.SHUFFLE_FAULT_KIND: "none",
-    Keys.SHUFFLE_FAULT_FRACTION: 0.0,
-    Keys.SHUFFLE_FAULT_ATTEMPTS: 1,
-    Keys.SHUFFLE_FAULT_DELAY: 0.05,
-    Keys.SHUFFLE_FAULT_SEED: 1234,
     Keys.FAULTS_SPEC: "",
     Keys.FAULTS_SEED: 1234,
     Keys.FAULTS_DELAY: 0.05,

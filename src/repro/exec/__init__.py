@@ -5,8 +5,6 @@ The engine's task machinery is execution-agnostic; this package decides
 
 ``serial``
     The original in-order, in-thread loop — the reference backend.
-``thread``
-    Map/reduce tasks over a thread pool (GIL-bound for CPU work).
 ``process``
     Real OS worker processes with spills on real temp disk — the
     backend that scales CPU-bound maps across cores.
@@ -31,11 +29,9 @@ from ..errors import ExecBackendError
 from .base import Executor
 from .process import ProcessExecutor
 from .serial import SerialExecutor
-from .threaded import ThreadExecutor
 
 BACKENDS: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 
@@ -71,7 +67,7 @@ def create_executor(
     backend: str, workers: int = 0, host: str = "localhost"
 ) -> Executor:
     """Instantiate the named backend
-    (``serial`` | ``thread`` | ``process`` | ``cluster``)."""
+    (``serial`` | ``process`` | ``cluster``)."""
     return _resolve(backend)(workers=workers, host=host)
 
 
@@ -80,7 +76,6 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "backend_names",
     "create_executor",
 ]

@@ -1,10 +1,11 @@
 """Executor interface and the task-attempt machinery all backends share.
 
 An :class:`Executor` runs a whole :class:`~repro.engine.job.JobSpec` and
-returns a :class:`~repro.engine.runner.JobResult`.  The three backends
-differ only in *where* task attempts run — the calling thread
-(:mod:`repro.exec.serial`), a thread pool (:mod:`repro.exec.threaded`),
-or real OS processes (:mod:`repro.exec.process`) — so the attempt loop
+returns a :class:`~repro.engine.runner.JobResult`.  The backends differ
+only in *where* task attempts run — the calling thread
+(:mod:`repro.exec.serial`), forked OS processes
+(:mod:`repro.exec.process`), or cluster worker daemons
+(:mod:`repro.cluster.runtime`) — so the attempt loop
 itself (Hadoop's retry-on-user-failure semantics) lives here as plain
 functions every backend calls, in-process or inside a worker.
 
@@ -294,25 +295,12 @@ def start_shuffle_server(job: JobSpec, host: str):
         raise ConfigError(
             f"{Keys.SHUFFLE_MODE}={mode!r} is not a shuffle mode; use 'mem' or 'net'"
         )
-    from ..faults.shuffle import FaultPlan as ShuffleFaultPlan
     from ..shuffle.server import ShuffleServer
 
-    # A `shuffle` rule in the unified fault plan takes precedence over
-    # the legacy repro.shuffle.fault.* keys, so one --fault spec drives
-    # every site's injection with one seed.
-    unified = fault_plan_for(job)
-    rule = unified.rule("shuffle")
-    if rule is not None:
-        plan = ShuffleFaultPlan(
-            kind=rule.kind,
-            fraction=rule.fraction,
-            attempts=rule.attempts,
-            delay_seconds=unified.delay_seconds,
-            seed=unified.seed,
-        )
-    else:
-        plan = ShuffleFaultPlan.from_conf(job.conf)
-    return ShuffleServer(host, fault_plan=plan).start()
+    # Shuffle faults need no wiring here: the server consults the
+    # ambient injector (`shuffle.*` rules of the job's fault plan),
+    # which every backend installs before any reducer fetches.
+    return ShuffleServer(host).start()
 
 
 def job_splits(job: JobSpec) -> list[FileSplit]:

@@ -1,6 +1,6 @@
 """Deterministic fault injection across the whole stack (``repro.faults``).
 
-Grown out of the network shuffle's fault plan (PR 2), this package turns
+Grown out of the network shuffle's fault plan, this package turns
 fault injection into a first-class subsystem: one seeded
 :class:`FaultPlan` names *sites* (disk, dfs, worker, shuffle, master)
 and *kinds* (corrupt, torn, kill, hang, heartbeat_drop, ...), and ambient fault points
@@ -15,9 +15,7 @@ and chaos tests never flake.
 Select a plan with the ``repro.faults.spec`` conf key, the ``--fault``
 CLI flag on ``repro run`` / ``repro pipeline``, or the ``REPRO_FAULT``
 environment variable; see :mod:`repro.faults.plan` for the spec
-grammar.  The shuffle-specific plan the shuffle server consumes lives
-on in :mod:`repro.faults.shuffle` (``repro.shuffle.faults`` remains as
-a compatibility shim).
+grammar.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .runtime import (
     mark_worker_process,
     task_scope,
 )
-from .shuffle import FaultPlan as ShuffleFaultPlan
 
 __all__ = [
     "FAULT_SITES",
@@ -39,7 +36,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "ShuffleFaultPlan",
     "active_injector",
     "drop_heartbeat",
     "installed",

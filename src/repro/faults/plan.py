@@ -23,8 +23,10 @@ worker    ``kill``                    a worker process dies abruptly
                                       executor's task timeout reaps it
           ``stall``                   a worker pauses ``delay_seconds`` then
                                       continues (a straggler, not a failure)
-shuffle   ``refuse`` ``drop``         the PR-2 shuffle server faults; the
-          ``truncate`` ``delay``      reduce-side fetcher retry loop recovers
+shuffle   ``refuse`` ``drop``         the shuffle server refuses, drops or
+          ``truncate`` ``delay``      truncates a fetch, or serves it
+                                      ``delay_seconds`` late; the reduce-side
+                                      fetcher retry loop recovers
 master    ``heartbeat_drop``          the cluster master silently discards a
                                       selected worker's pings; membership marks
                                       the worker dead and its attempts are
@@ -155,11 +157,6 @@ class FaultPlan:
             rule for rule in self.rules
             if rule.site == site and (kind is None or rule.kind == kind)
         )
-
-    def rule(self, site: str, kind: str | None = None) -> FaultRule | None:
-        """The first matching rule (plans rarely repeat a site+kind)."""
-        matches = self.rules_for(site, kind)
-        return matches[0] if matches else None
 
     def spec(self) -> str:
         return ";".join(rule.spec() for rule in self.rules)

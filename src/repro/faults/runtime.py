@@ -4,7 +4,8 @@ An executor *installs* the job's :class:`~repro.faults.plan.FaultPlan`
 before it starts running tasks; fault points sprinkled through the
 framework (:func:`corrupt_spill_read` in :mod:`repro.io.spillfile`,
 :func:`corrupt_dfs_read` in :mod:`repro.dfs.datanode`,
-:func:`worker_fault` in the task-attempt loop) consult the installed
+:func:`worker_fault` in the task-attempt loop, :func:`shuffle_fault` in
+the shuffle server's request handler) consult the installed
 injector and stay zero-cost no-ops when nothing is installed.  The
 process backend relies on ``fork`` inheritance: the plan is installed
 in the parent before the pool forks, so every worker process carries it
@@ -228,6 +229,25 @@ def worker_fault(task_id: str, attempt: int) -> None:
         elif rule.kind == "stall":
             time.sleep(injector.plan.delay_seconds)
         return
+
+
+def shuffle_fault(task_id: str, partition: int) -> FaultRule | None:
+    """Shuffle-site faults, consulted by the shuffle server for every
+    segment request: the first armed ``shuffle.*`` rule, or ``None``.
+    Fetch requests carry no task attempt, so each (task, partition)
+    segment is gated by the in-process request counter: only its first
+    ``attempts`` requests are hurt and the fetcher's retries converge.
+    The server applies the kind (``refuse`` / ``drop`` / ``truncate`` /
+    ``delay``)."""
+    injector = active_injector()
+    if injector is None:
+        return None
+    token = f"{task_id}:{partition}"
+    for rule in injector.plan.rules_for("shuffle"):
+        if injector.armed_counted(rule, token):
+            injector.record(rule)
+            return rule
+    return None
 
 
 def drop_heartbeat(worker_id: str) -> bool:

@@ -29,7 +29,8 @@ conditions:
 
 ``combiner-stateful`` (error)
     State on ``self`` carried across ``combine()`` calls breaks
-    re-application and thread-backend safety both.
+    re-application and safety across pipeline stages running on threads
+    in one process both.
 """
 
 from __future__ import annotations
@@ -130,5 +131,6 @@ class CombinerAlgebraRule(Rule):
                 source.file,
                 node,
                 f"{source.cls.__name__}.combine() writes self.{attr}: state "
-                "carried across groups breaks re-application and thread safety",
+                "carried across groups breaks re-application and is racy across "
+                "concurrent pipeline stages",
             )

@@ -1,14 +1,15 @@
 """Purity and determinism of the per-record user methods.
 
-The thread backend runs task attempts concurrently in one process; the
-net shuffle's equivalence guarantee and task-retry correctness both
+The stages of one pipeline run concurrently on threads in one process;
+the net shuffle's equivalence guarantee and task-retry correctness both
 assume a retried or re-run ``map()``/``reduce()``/``combine()``
 produces byte-identical output.  Checked properties:
 
 ``purity-global-write`` (error)
-    Mutating module-level state from a per-record method: racy under
-    the thread backend, silently diverges under the process backend
-    (each fork mutates its own copy), and breaks retry determinism.
+    Mutating module-level state from a per-record method: racy when
+    pipeline stages share one process, silently diverges under the
+    process backend (each fork mutates its own copy), and breaks retry
+    determinism.
 
 ``purity-nondeterministic`` (error)
     Wall-clock (``time.time`` & friends, ``datetime.now``) or unseeded
@@ -113,8 +114,8 @@ class PurityRule(Rule):
                                 source.file,
                                 node,
                                 f"{where} writes into module-level "
-                                f"{name!r}: racy under the thread backend, "
-                                "lost under the process backend's fork",
+                                f"{name!r}: racy across concurrent pipeline "
+                                "stages, lost under the process backend's fork",
                             )
             elif isinstance(node, ast.Call):
                 yield from self._check_call(node, where, locals_, source)

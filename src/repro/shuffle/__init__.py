@@ -18,26 +18,23 @@ replaces the transport with real localhost TCP:
     :class:`~repro.shuffle.service.NetShuffleService` feeds the fetched
     segments into the engine's MergeManager-style budgeted merge and
     charges ``Op.SHUFFLE`` from measured socket bytes and wall time.
-``faults``
-    A deterministic fault-injection plan (refuse / drop / truncate /
-    delay a configurable fraction of fetches) so the retry paths are
-    exercised on demand.
 
 Select with ``repro.shuffle.mode = net`` (CLI: ``--shuffle net
 --shuffle-fetchers N``); the default ``mem`` keeps the modelled path.
+The retry paths are exercised on demand by ``shuffle.*`` rules of the
+unified fault plan (:mod:`repro.faults`; CLI: ``--fault
+shuffle.kind:fraction[:attempts]``), which the server applies to the
+selected fraction of fetches.
 """
 
 from __future__ import annotations
 
 from ..errors import ShuffleError, ShuffleTransportError
-from .faults import FAULT_KINDS, FaultPlan
 from .fetcher import FetcherPool, FetchPlanEntry, FetchResult, RetryPolicy, register_output
 from .server import ShuffleHostStats, ShuffleServer
 from .service import NetShuffleService
 
 __all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
     "FetchPlanEntry",
     "FetchResult",
     "FetcherPool",

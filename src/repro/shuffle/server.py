@@ -6,18 +6,19 @@ serves their partition segments to reducers over localhost TCP.  Map
 outputs reach it two ways:
 
 * **in-process registration** (:meth:`ShuffleServer.register`) for the
-  serial/thread backends, whose spills live in in-memory ``LocalDisk``
-  instances the server can read directly;
+  serial backend, whose spills live in in-memory ``LocalDisk`` instances
+  the server can read directly;
 * **wire registration** (the ``REG`` opcode) for the process backend,
   whose map *workers* announce their finished ``FileDisk``-backed
   output — path, name, and spill index — from their own process; the
   server opens the files itself when segments are requested.
 
 Every ``GET`` response carries the spill index entry's CRC so the
-fetcher can validate the bytes it actually received.  A configured
-:class:`~repro.shuffle.faults.FaultPlan` is applied between lookup and
-response, deterministically refusing / dropping / truncating / delaying
-the selected fraction of fetches.
+fetcher can validate the bytes it actually received.  Between lookup
+and response the server consults the ambient fault injector
+(:func:`~repro.faults.runtime.shuffle_fault`): the ``shuffle.*`` rules
+of an installed :class:`~repro.faults.plan.FaultPlan` deterministically
+refuse / drop / truncate / delay the selected fraction of fetches.
 
 The server is plain ``socket`` + thread-per-connection: connections are
 one-request-one-response and segment counts are small (maps x reduces),
@@ -33,9 +34,9 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import DiskError, SerdeError, ShuffleError
+from ..faults.runtime import active_injector, shuffle_fault
 from ..io.blockdisk import LocalDisk
 from ..io.spillfile import SegmentIndexEntry, SpillIndex, segment_bytes
-from .faults import FaultPlan
 from . import wire
 
 
@@ -86,12 +87,10 @@ class ShuffleServer:
     def __init__(
         self,
         host_label: str = "localhost",
-        fault_plan: FaultPlan | None = None,
         bind_host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.host_label = host_label
-        self.fault_plan = fault_plan or FaultPlan()
         self.bind_host = bind_host
         #: Requested listen port (0 = ephemeral).  A clean ``stop()``
         #: releases it, so a successor server can bind the same port —
@@ -104,7 +103,6 @@ class ShuffleServer:
         self._handlers: list[threading.Thread] = []
         self._stopping = threading.Event()
         self._port = -1
-        self._fault_attempts: dict[tuple[str, int], int] = {}
         # --- stats (guarded by _lock) ---
         self._bytes_served = 0
         self._requests_served = 0
@@ -249,7 +247,11 @@ class ShuffleServer:
             return
         disk, index = entry
 
-        fault = self._next_fault(task_id, partition)
+        rule = shuffle_fault(task_id, partition)
+        fault = None if rule is None else rule.kind
+        if fault is not None:
+            with self._lock:
+                self._faults[fault] = self._faults.get(fault, 0) + 1
         if fault == "refuse":
             wire.send_json(conn, wire.OP_ERR, {
                 "code": "BUSY",
@@ -268,8 +270,9 @@ class ShuffleServer:
                 self._errors += 1
             return
 
-        if fault == "delay":
-            time.sleep(self.fault_plan.delay_seconds)
+        injector = active_injector() if fault == "delay" else None
+        if injector is not None:
+            time.sleep(injector.plan.delay_seconds)
         header = {
             "length": segment.length,
             "raw_length": segment.raw_length,
@@ -296,22 +299,6 @@ class ShuffleServer:
                 self._requests_served -= 1
                 self._bytes_served -= len(body)
             raise
-
-    def _next_fault(self, task_id: str, partition: int) -> str | None:
-        """The fault to apply to this request, or None.  Only the first
-        ``plan.attempts`` requests for a selected (task, partition) are
-        faulted, so bounded retries deterministically converge."""
-        plan = self.fault_plan
-        if not plan.selects(task_id, partition):
-            return None
-        key = (task_id, partition)
-        with self._lock:
-            seen = self._fault_attempts.get(key, 0) + 1
-            self._fault_attempts[key] = seen
-            if seen > plan.attempts:
-                return None
-            self._faults[plan.kind] = self._faults.get(plan.kind, 0) + 1
-        return plan.kind
 
     def __repr__(self) -> str:
         return f"ShuffleServer({self.host_label!r}, port={self._port})"

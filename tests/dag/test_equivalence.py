@@ -24,7 +24,7 @@ from repro.engine.counters import Counter
 from repro.engine.runner import LocalJobRunner
 
 SCALE = 0.01
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_pipeline_matches_manual_sequence(backend, manual_chain):
 @pytest.mark.network
 def test_pipeline_net_shuffle_matches_mem(manual_chain):
     result = run_pipeline(
-        build_textindex(scale=SCALE), stage_conf=stage_conf("thread", shuffle="net")
+        build_textindex(scale=SCALE), stage_conf=stage_conf("process", shuffle="net")
     )
     assert result.ok, [r.describe() for r in result.stages]
     assert result.datasets == manual_chain

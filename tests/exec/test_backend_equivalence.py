@@ -1,4 +1,4 @@
-"""Backend equivalence: serial, thread, and process runs are identical.
+"""Backend equivalence: serial and process runs are identical.
 
 The executor contract is that *where* tasks run never changes *what*
 they compute: for every paper application, with and without
@@ -27,7 +27,7 @@ from repro.experiments.common import build_app
 from ..conftest import make_wordcount_job
 
 PAPER_APPS = ("wordcount", "invertedindex", "wordpostag")
-PARALLEL_BACKENDS = ("thread", "process")
+PARALLEL_BACKENDS = ("process",)
 
 
 def run_backend(app_name: str, backend: str, freqbuf: bool) -> JobResult:
@@ -111,14 +111,19 @@ def test_user_code_error_pickles_round_trip() -> None:
 
 
 def test_unknown_backend_rejected() -> None:
-    """The rejection names every valid backend, lazy ones included."""
+    """The rejection names every valid backend, lazy ones included.
+    ``thread`` is rejected too: the GIL-bound thread pool ran slower
+    than ``serial``, the one in-process backend."""
     from repro.exec import backend_names
 
-    with pytest.raises(
-        ExecBackendError, match="unknown execution backend.*cluster.*serial"
-    ):
-        create_executor("quantum")
-    assert backend_names() == ["cluster", "process", "serial", "thread"]
+    for name in ("quantum", "thread"):
+        with pytest.raises(
+            ExecBackendError,
+            match=f"unknown execution backend '{name}'; "
+            "choose one of cluster, process, serial",
+        ):
+            create_executor(name)
+    assert backend_names() == ["cluster", "process", "serial"]
     assert set(BACKENDS) <= set(backend_names())
 
 

@@ -28,7 +28,7 @@ FAULT_MATRIX = {
     "shuffle-truncate": ("shuffle.truncate:0.5:1", False, True),
     "combined": ("worker.kill:0.4;disk.corrupt:0.5", True, False),
 }
-BACKENDS = ("thread", "process", "cluster")
+BACKENDS = ("serial", "process", "cluster")
 #: Backends whose task attempts run in real OS processes, where
 #: worker.kill/hang/stall rules can actually fire.
 PROCESS_BACKENDS = ("process", "cluster")
@@ -81,6 +81,6 @@ def test_matrix_cell_recovers_byte_identical(
 @pytest.mark.chaos
 def test_unified_shuffle_rule_drives_the_shuffle_server(tiny_text) -> None:
     """A ``shuffle.*`` rule in the unified plan must reach the shuffle
-    server's legacy injection hooks (not just the new fault points)."""
-    result = run_cell(tiny_text, "thread", "net", "shuffle.refuse:0.5:1")
+    server through its ambient fault point."""
+    result = run_cell(tiny_text, "serial", "net", "shuffle.refuse:0.5:1")
     assert result.counters.get(Counter.SHUFFLE_FETCH_RETRIES) > 0

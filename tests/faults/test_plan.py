@@ -63,15 +63,16 @@ class TestConfAndEnv:
             }
         )
         plan = FaultPlan.from_conf(conf)
-        assert plan.rule("dfs", "corrupt").attempts == 2
+        [rule] = plan.rules_for("dfs", "corrupt")
+        assert rule.attempts == 2
         assert plan.seed == 99
         assert plan.delay_seconds == 0.01
 
     def test_env_override_beats_conf(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_FAULT", "worker.hang:0.2")
         plan = FaultPlan.from_conf(JobConf({Keys.FAULTS_SPEC: "disk.torn:0.9"}))
-        assert plan.rule("worker", "hang") is not None
-        assert plan.rule("disk") is None
+        assert plan.rules_for("worker", "hang")
+        assert not plan.rules_for("disk")
 
     def test_default_conf_is_disabled(self) -> None:
         assert not FaultPlan.from_conf(JobConf()).enabled
@@ -126,7 +127,7 @@ class TestRuntimeInstallation:
     def test_attempt_bound_gates_injection(self) -> None:
         plan = FaultPlan.parse("disk.corrupt:1.0:2")
         with installed(plan) as injector:
-            rule = plan.rule("disk", "corrupt")
+            [rule] = plan.rules_for("disk", "corrupt")
             assert injector.armed_for_attempt(rule, "tok", 1)
             assert injector.armed_for_attempt(rule, "tok", 2)
             assert not injector.armed_for_attempt(rule, "tok", 3)
@@ -134,7 +135,7 @@ class TestRuntimeInstallation:
     def test_counted_bound_gates_per_token(self) -> None:
         plan = FaultPlan.parse("dfs.corrupt:1.0:2")
         with installed(plan) as injector:
-            rule = plan.rule("dfs")
+            [rule] = plan.rules_for("dfs")
             assert injector.armed_counted(rule, "blk@a")
             assert injector.armed_counted(rule, "blk@a")
             assert not injector.armed_counted(rule, "blk@a")  # budget spent

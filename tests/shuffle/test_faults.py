@@ -3,11 +3,13 @@
 Each injected fault exercises one leg of the fetcher's retry loop —
 connection refused (``ERR BUSY``), mid-stream EOF (``drop``), CRC
 mismatch (``truncate``), slow peer (``delay`` past the client timeout).
-Because fault selection is a stable hash and only the first
-``attempts`` requests per selected segment are faulted, every test is
-deterministic: retries are *bounded* and the job always completes —
-or, when the fault outlives the retry budget, fails with a clean
-:class:`~repro.errors.ShuffleError` rather than a hang.
+The faults are ``shuffle.*`` rules of the unified fault plan
+(:mod:`repro.faults`), which the shuffle server consults through its
+ambient fault point.  Because fault selection is a stable hash and only
+the first ``attempts`` requests per selected segment are faulted, every
+test is deterministic: retries are *bounded* and the job always
+completes — or, when the fault outlives the retry budget, fails with a
+clean :class:`~repro.errors.ShuffleError` rather than a hang.
 """
 
 from __future__ import annotations
@@ -19,44 +21,52 @@ from repro.engine.counters import Counter
 from repro.engine.runner import LocalJobRunner
 from repro.errors import ConfigError, ShuffleError
 from repro.experiments.common import build_app
+from repro.faults.plan import ENV_OVERRIDE, FaultPlan, FaultRule
+from repro.faults.runtime import installed, shuffle_fault
 from repro.io.blockdisk import LocalDisk
 from repro.io.spillfile import write_spill
-from repro.shuffle.faults import ENV_OVERRIDE, FaultPlan
 from repro.shuffle.fetcher import FetchPlanEntry, RetryPolicy, fetch_segment
 from repro.shuffle.server import ShuffleServer
 
 
 class TestFaultPlan:
     def test_selection_is_deterministic_and_proportional(self):
-        plan = FaultPlan(kind="refuse", fraction=0.3, seed=7)
-        picks = [plan.selects(f"job.m{i:04d}", i % 4) for i in range(400)]
-        assert picks == [plan.selects(f"job.m{i:04d}", i % 4) for i in range(400)]
+        rule = FaultRule(site="shuffle", kind="refuse", fraction=0.3)
+        tokens = [f"job.m{i:04d}:{i % 4}" for i in range(400)]
+        picks = [rule.selects(7, token) for token in tokens]
+        assert picks == [rule.selects(7, token) for token in tokens]
         assert 0.2 < sum(picks) / len(picks) < 0.4
 
     def test_disabled_plans_select_nothing(self):
-        assert not FaultPlan().selects("job.m0000", 0)
-        assert not FaultPlan(kind="drop", fraction=0.0).selects("job.m0000", 0)
+        assert not FaultPlan().enabled
+        assert not FaultPlan.parse("shuffle.drop:0.0").enabled
+        assert not FaultRule(site="shuffle", kind="drop", fraction=0.0).selects(
+            1234, "job.m0000:0"
+        )
+        # No plan installed: the server's fault point is a no-op.
+        assert shuffle_fault("job.m0000", 0) is None
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="unknown shuffle fault kind"):
-            FaultPlan(kind="gremlins")
+        with pytest.raises(ConfigError, match="has no kind 'gremlins'"):
+            FaultRule(site="shuffle", kind="gremlins", fraction=0.5)
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
-            FaultPlan(kind="drop", fraction=1.5)
+            FaultRule(site="shuffle", kind="drop", fraction=1.5)
         with pytest.raises(ConfigError, match=">= 1"):
-            FaultPlan(kind="drop", fraction=0.5, attempts=0)
+            FaultRule(site="shuffle", kind="drop", fraction=0.5, attempts=0)
 
     def test_env_override_beats_conf(self, monkeypatch):
-        conf = JobConf({Keys.SHUFFLE_FAULT_KIND: "refuse",
-                        Keys.SHUFFLE_FAULT_FRACTION: 0.1})
-        monkeypatch.setenv(ENV_OVERRIDE, "truncate:0.25:2")
+        conf = JobConf({Keys.FAULTS_SPEC: "shuffle.refuse:0.1"})
+        monkeypatch.setenv(ENV_OVERRIDE, "shuffle.truncate:0.25:2")
         plan = FaultPlan.from_conf(conf)
-        assert (plan.kind, plan.fraction, plan.attempts) == ("truncate", 0.25, 2)
+        assert plan.rules == (
+            FaultRule(site="shuffle", kind="truncate", fraction=0.25, attempts=2),
+        )
 
     def test_env_override_malformed(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, "truncate")
-        with pytest.raises(ConfigError, match="kind:fraction"):
+        monkeypatch.setenv(ENV_OVERRIDE, "shuffle.truncate")
+        with pytest.raises(ConfigError, match=r"site\.kind:fraction"):
             FaultPlan.from_conf(JobConf())
-        monkeypatch.setenv(ENV_OVERRIDE, "truncate:lots")
+        monkeypatch.setenv(ENV_OVERRIDE, "shuffle.truncate:lots")
         with pytest.raises(ConfigError, match="malformed"):
             FaultPlan.from_conf(JobConf())
 
@@ -71,10 +81,10 @@ FAST = RetryPolicy(
 )
 
 
-def serve_one_segment(plan: FaultPlan) -> tuple[ShuffleServer, FetchPlanEntry]:
+def serve_one_segment() -> tuple[ShuffleServer, FetchPlanEntry]:
     disk = LocalDisk("m0.disk")
     index = write_spill(disk, "m0.out", [[(b"key", b"value")]])
-    server = ShuffleServer("faulty-node", fault_plan=plan).start()
+    server = ShuffleServer("faulty-node").start()
     server.register("job.m0000", index, disk)
     return server, FetchPlanEntry(server.address, "job.m0000", 0)
 
@@ -82,31 +92,33 @@ def serve_one_segment(plan: FaultPlan) -> tuple[ShuffleServer, FetchPlanEntry]:
 @pytest.mark.network
 @pytest.mark.parametrize("kind", ("refuse", "drop", "truncate"))
 def test_fault_kinds_recover_within_bounded_retries(kind):
-    plan = FaultPlan(kind=kind, fraction=1.0, attempts=2)
-    server, entry = serve_one_segment(plan)
-    try:
-        result = fetch_segment(entry, FAST)
-    finally:
-        server.stop()
+    with installed(FaultPlan.parse(f"shuffle.{kind}:1.0:2")) as injector:
+        server, entry = serve_one_segment()
+        try:
+            result = fetch_segment(entry, FAST)
+        finally:
+            server.stop()
     assert result.attempts == 3  # two faulted attempts, then success
     assert result.wait_seconds > 0
     assert server.snapshot().faults_injected == {kind: 2}
+    assert injector.injected == {f"shuffle.{kind}": 2}
 
 
 @pytest.mark.network
 def test_slow_peer_times_out_then_recovers():
     # Client timeout far below the injected delay: the first attempt is
     # a read timeout, the second (no longer faulted) succeeds.
-    plan = FaultPlan(kind="delay", fraction=1.0, attempts=1, delay_seconds=2.0)
-    server, entry = serve_one_segment(plan)
+    plan = FaultPlan.parse("shuffle.delay:1.0:1", delay_seconds=2.0)
     policy = RetryPolicy(
         max_attempts=3, backoff_base_seconds=0.005, backoff_max_seconds=0.02,
         timeout_seconds=0.2,
     )
-    try:
-        result = fetch_segment(entry, policy)
-    finally:
-        server.stop()
+    with installed(plan):
+        server, entry = serve_one_segment()
+        try:
+            result = fetch_segment(entry, policy)
+        finally:
+            server.stop()
     assert result.attempts == 2
     assert server.snapshot().faults_injected == {"delay": 1}
 
@@ -114,26 +126,25 @@ def test_slow_peer_times_out_then_recovers():
 @pytest.mark.network
 def test_exhausted_retries_raise_clean_shuffle_error():
     # The fault outlives the retry budget: clean failure, not a hang.
-    plan = FaultPlan(kind="drop", fraction=1.0, attempts=99)
-    server, entry = serve_one_segment(plan)
-    try:
-        with pytest.raises(ShuffleError, match="failed after 4 attempts"):
-            fetch_segment(entry, FAST)
-    finally:
-        server.stop()
+    with installed(FaultPlan.parse("shuffle.drop:1.0:99")):
+        server, entry = serve_one_segment()
+        try:
+            with pytest.raises(ShuffleError, match="failed after 4 attempts"):
+                fetch_segment(entry, FAST)
+        finally:
+            server.stop()
 
 
 # ----------------------------------------------------------------------
 # whole jobs under injected faults
 # ----------------------------------------------------------------------
 
-def run_faulted(kind: str, fraction: float, backend: str = "process", **conf):
+def run_faulted(spec: str, backend: str = "process", **conf):
     extra = {
         Keys.EXEC_BACKEND: backend,
         Keys.EXEC_WORKERS: 4,
         Keys.SHUFFLE_MODE: "net",
-        Keys.SHUFFLE_FAULT_KIND: kind,
-        Keys.SHUFFLE_FAULT_FRACTION: fraction,
+        Keys.FAULTS_SPEC: spec,
         Keys.SHUFFLE_BACKOFF_BASE: 0.005,
         Keys.SHUFFLE_BACKOFF_MAX: 0.02,
         **conf,
@@ -143,18 +154,26 @@ def run_faulted(kind: str, fraction: float, backend: str = "process", **conf):
     return LocalJobRunner().run(app.job)
 
 
+def host_faults(result) -> dict[str, int]:
+    injected: dict[str, int] = {}
+    for host in result.shuffle_hosts:
+        for kind, count in host.faults_injected.items():
+            injected[kind] = injected.get(kind, 0) + count
+    return injected
+
+
 @pytest.mark.network
 def test_job_survives_ten_percent_fetch_failures():
-    """The ISSUE's acceptance run: WordCount on the process backend
-    completes with 10% of fetches injected to fail, retries visible."""
-    clean = run_faulted("none", 0.0)
-    faulted = run_faulted("drop", 0.10, **{Keys.SHUFFLE_FAULT_SEED: 99})
+    """WordCount on the process backend completes with 10% of fetches
+    injected to fail, retries visible."""
+    clean = run_faulted("")
+    faulted = run_faulted("shuffle.drop:0.10", **{Keys.FAULTS_SEED: 1234})
 
     pairs = lambda r: [(k.to_bytes(), v.to_bytes()) for k, v in r.output_pairs()]
     assert pairs(faulted) == pairs(clean)
 
     injected = sum(h.total_faults for h in faulted.shuffle_hosts)
-    assert injected > 0, "seed 99 must select at least one fetch at 10%"
+    assert injected > 0, "seed 1234 must select at least one fetch at 10%"
     assert faulted.counters.get(Counter.SHUFFLE_FETCH_RETRIES) == injected
     assert faulted.counters.get(Counter.SHUFFLE_BACKOFF_MS) > 0
     assert sum(r.fetch_retries for r in faulted.reduce_results) == injected
@@ -164,12 +183,30 @@ def test_job_survives_ten_percent_fetch_failures():
 @pytest.mark.network
 @pytest.mark.parametrize("kind", ("refuse", "truncate"))
 def test_job_survives_heavy_faults_on_serial_backend(kind):
-    result = run_faulted(kind, 0.5, backend="serial")
+    result = run_faulted(f"shuffle.{kind}:0.5", backend="serial", **{Keys.FAULTS_SEED: 7})
     assert result.output_pairs()
     assert result.counters.get(Counter.SHUFFLE_FETCH_RETRIES) > 0
-    injected = {k: n for h in result.shuffle_hosts
-                for k, n in h.faults_injected.items()}
-    assert set(injected) == {kind}
+    assert set(host_faults(result)) == {kind}
+
+
+@pytest.mark.network
+def test_every_shuffle_rule_fires():
+    """Two ``shuffle.*`` rules in one spec both reach the server: a
+    segment the first rule has finished with can still be hurt by the
+    second, and both tallies (server and injector) see every fault."""
+    spec = "shuffle.refuse:0.3:1;shuffle.drop:0.9:1"
+    # The executor installs the equal plan built from the job's conf;
+    # installing it here first shares one injector, whose tallies the
+    # test can then read.
+    with installed(FaultPlan.parse(spec, seed=7)) as injector:
+        result = run_faulted(spec, backend="serial", **{Keys.FAULTS_SEED: 7})
+    clean = run_faulted("", backend="serial")
+    assert result.output_digest() == clean.output_digest()
+
+    served = host_faults(result)
+    assert set(served) == {"refuse", "drop"}
+    assert injector.injected == {f"shuffle.{kind}": n for kind, n in served.items()}
+    assert result.counters.get(Counter.SHUFFLE_FETCH_RETRIES) == sum(served.values())
 
 
 @pytest.mark.network
@@ -179,10 +216,4 @@ def test_unrecoverable_faults_fail_the_job_cleanly():
     it, the :class:`ShuffleError` propagates — crucially without a hang,
     naming the segment and the last transport error."""
     with pytest.raises(ShuffleError, match="failed after 2 attempts"):
-        run_faulted(
-            "drop", 1.0,
-            **{
-                Keys.SHUFFLE_FAULT_ATTEMPTS: 99,
-                Keys.SHUFFLE_FETCH_ATTEMPTS: 2,
-            },
-        )
+        run_faulted("shuffle.drop:1.0:99", **{Keys.SHUFFLE_FETCH_ATTEMPTS: 2})

@@ -60,7 +60,7 @@ def test_net_matches_mem_byte_for_byte(app_name: str, freqbuf: bool) -> None:
         assert net.counters.get(counter) == mem.counters.get(counter)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 def test_net_matches_mem_on_parallel_backends(backend: str) -> None:
     mem = run_app("wordcount", "mem", freqbuf=False, backend=backend)
     net = run_app("wordcount", "net", freqbuf=False, backend=backend)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.exec import backend_names
 
 
 class TestList:
@@ -62,6 +63,23 @@ class TestRun:
         assert record["counters"]["map_input_records"] > 0
 
 
+class TestBackendChoices:
+    @pytest.mark.parametrize(
+        "argv",
+        (["run", "wordcount"], ["pipeline", "textindex"], ["stream", "sessionize"]),
+        ids=("run", "pipeline", "stream"),
+    )
+    def test_choices_are_the_registered_backends(self, argv, capsys):
+        """Every --backend flag offers exactly ``backend_names()``, so
+        ``thread`` (the deleted GIL-bound backend) is rejected."""
+        with pytest.raises(SystemExit):
+            main([*argv, "--backend", "thread"])
+        err = capsys.readouterr().err
+        offered = err.split("invalid choice: 'thread' (choose from ", 1)[1]
+        offered = offered.split(")", 1)[0]
+        assert [name.strip(" '") for name in offered.split(",")] == backend_names()
+
+
 class TestPipeline:
     def test_textindex_runs(self, capsys):
         assert main(["pipeline", "textindex", "--scale", "0.01"]) == 0
@@ -73,7 +91,7 @@ class TestPipeline:
     def test_no_cache_flag_accepted(self, capsys):
         code = main([
             "pipeline", "textindex", "--scale", "0.01",
-            "--backend", "thread", "--workers", "2", "--no-cache",
+            "--backend", "process", "--workers", "2", "--no-cache",
         ])
         assert code == 0
         assert "0 hit(s)" in capsys.readouterr().out
