@@ -118,11 +118,9 @@ def _fault_conf(args: argparse.Namespace) -> dict:
 
 
 def _cluster_conf(args: argparse.Namespace) -> dict:
-    """Conf entries for the --cluster-workers / --heartbeat-interval
-    flags (shared by `repro run` and `repro pipeline`)."""
+    """Conf entries for the --heartbeat-interval flag (shared by
+    `repro run` and `repro pipeline`)."""
     conf: dict = {}
-    if args.cluster_workers is not None:
-        conf[Keys.CLUSTER_WORKERS] = args.cluster_workers
     if args.heartbeat_interval is not None:
         conf[Keys.CLUSTER_HEARTBEAT_INTERVAL] = args.heartbeat_interval
     return conf
@@ -580,11 +578,6 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cluster-workers", type=int, default=None,
-        help="worker daemons for the cluster backend "
-             "(default: --workers, i.e. one per CPU)",
-    )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None,
         help="seconds between worker pings to the cluster master "

@@ -4,8 +4,9 @@ The simulator next door (:mod:`repro.cluster.simulator`) *models* a
 cluster; this package *is* one, at laptop scale: a master daemon owning
 the job's task graph, worker daemons in separate OS processes
 registering over localhost TCP and heartbeating, locality-aware
-placement against a staged DFS, crash recovery under the shared attempt
-budget, and speculative re-execution driven by the same
+placement against a staged DFS, crash recovery through the shared
+task-attempt lifecycle (:mod:`repro.exec.attempts`), and speculative
+re-execution driven by the same
 :class:`~repro.cluster.policy.SpeculationPolicy` the simulator uses.
 
 Modules

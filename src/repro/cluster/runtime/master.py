@@ -12,9 +12,10 @@ Each ~20 ms tick the loop:
 1. drains worker events (registrations, task results, channel EOFs);
 2. sweeps membership — workers silent past the suspect threshold stop
    receiving work, past the dead threshold they are declared dead:
-   their in-flight attempts are rescheduled on survivors under the
-   shared ``repro.task.max.attempts`` budget with
-   :mod:`repro.exec.pool`'s exact crash/quarantine semantics, and (net
+   their in-flight attempts go through the shared lost-attempt rule
+   (:func:`~repro.exec.attempts.lose_attempt`, the one the process
+   backend's pool applies): rescheduled on survivors under the
+   ``repro.task.max.attempts`` budget or quarantined, and (net
    shuffle) map outputs whose shuffle server died with the worker are
    re-executed so pending reducers can still fetch every partition;
 3. reaps assignments past ``repro.task.timeout.seconds`` by killing the
@@ -29,6 +30,10 @@ Each ~20 ms tick the loop:
 
 Dead workers are replaced with fresh daemons under the same host label,
 so locality hints and DFS local reads stay valid for the replacement.
+Tasks are :class:`~repro.exec.attempts.PoolTask` records carrying their
+placement hints; a requeued reduce and a speculative backup are built by
+``PoolTask.retry``, and each phase ends in the shared
+:func:`~repro.exec.attempts.check_outcomes`.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ from ...config import JobConf, Keys
 from ...engine.counters import Counter, Counters
 from ...engine.job import JobSpec
 from ...engine.runner import JobResult
-from ...errors import ExecBackendError, JobFailedError, ReproError, ShuffleError
+from ...errors import ExecBackendError, ShuffleError
 from ...exec import workers
+from ...exec.attempts import PoolTask, check_outcomes, lose_attempt, record_attempts
 from ...exec.base import (
     Executor,
     assemble_job_result,
@@ -82,23 +88,10 @@ _TICK_SECONDS = 0.02
 
 
 @dataclass
-class ClusterTask:
-    """One schedulable task with its crash history (the runtime's
-    :class:`~repro.exec.pool.PoolTask` analogue, plus placement hints)."""
-
-    key: str  # task id, for attribution
-    kind: str  # "map" | "reduce"
-    payload: Any  # map: split index; reduce: partition number
-    attempt_offset: int = 0  # attempts already consumed (crashed ones)
-    crashes: int = 0  # workers this task has killed so far
-    preferred_hosts: tuple[str, ...] = ()
-
-
-@dataclass
 class Assignment:
     """One dispatched task attempt on one worker."""
 
-    task: ClusterTask
+    task: PoolTask
     worker_id: str
     tag: int
     started_at: float
@@ -394,7 +387,7 @@ class Master:
         other backend."""
         self._await_registration()
         map_tasks = [
-            ClusterTask(
+            PoolTask(
                 key=map_task_id(self.job, index),
                 kind="map",
                 payload=index,
@@ -403,22 +396,20 @@ class Master:
             for index in range(num_splits)
         ]
         self._map_keys = [task.key for task in map_tasks]
-        outcomes = self._run_phase(map_tasks, reduce_mode=False)
-        self._collect(map_tasks, outcomes)
+        self._run_phase(map_tasks, reduce_mode=False)
 
         reduce_results: list = []
         if not self.job.conf.get_bool(Keys.EXEC_MAP_ONLY):
             self._apply_node_combine()
             reduce_tasks = [
-                ClusterTask(
+                PoolTask(
                     key=reduce_task_id(self.job, partition),
                     kind="reduce",
                     payload=partition,
                 )
                 for partition in range(self.job.num_reducers)
             ]
-            outcomes = self._run_phase(reduce_tasks, reduce_mode=True)
-            reduce_results = self._collect(reduce_tasks, outcomes)
+            reduce_results = self._run_phase(reduce_tasks, reduce_mode=True)
         map_results = [self._map_outcomes[key] for key in self._map_keys]
         return map_results, reduce_results
 
@@ -455,7 +446,7 @@ class Master:
 
     def _await_registration(self) -> None:
         deadline = time.monotonic() + self._register_timeout
-        pending: list[ClusterTask] = []
+        pending: list[PoolTask] = []
         while not self.membership.alive():
             if time.monotonic() > deadline:
                 raise ExecBackendError(
@@ -464,10 +455,10 @@ class Master:
                 )
             self._drain_events(pending, {}, set(), reduce_mode=False)
 
-    def _run_phase(
-        self, tasks: list[ClusterTask], reduce_mode: bool
-    ) -> dict[str, tuple]:
-        pending: list[ClusterTask] = list(tasks)
+    def _run_phase(self, tasks: list[PoolTask], reduce_mode: bool) -> list:
+        """Run every task to an outcome; returns the results in task
+        order or raises the first failure in that order."""
+        pending: list[PoolTask] = list(tasks)
         phase_keys = {task.key for task in tasks}
         outcomes: dict[str, tuple] = {}
         self._phase_durations: list[float] = []
@@ -479,34 +470,16 @@ class Master:
             self._reap_hung()
             self._dispatch(pending, outcomes, reduce_mode)
             self._speculate(outcomes, phase_keys)
-        return outcomes
-
-    def _collect(self, tasks: list[ClusterTask], outcomes: dict[str, tuple]) -> list:
-        """Record attempt counts, then fail on the first failed task in
-        task order — the process backend's contract verbatim."""
-        results = []
-        for task in tasks:
-            task_id, attempts, result, error = outcomes[task.key]
-            if attempts:
-                self.attempts_seen[task_id] = max(
-                    self.attempts_seen.get(task_id, 0), attempts
-                )
-            if error is not None:
-                if isinstance(error, ReproError):
-                    raise error
-                raise JobFailedError(
-                    f"task {task_id} failed in a worker process after "
-                    f"{max(attempts, 1)} attempt(s): {error!r}"
-                ) from error
-            results.append(result)
-        return results
+        return check_outcomes(
+            (outcomes[task.key] for task in tasks), self.attempts_seen
+        )
 
     # ------------------------------------------------------------------
     # event handling (scheduler thread)
     # ------------------------------------------------------------------
     def _drain_events(
         self,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         phase_keys: set[str],
         reduce_mode: bool,
@@ -525,7 +498,7 @@ class Master:
     def _handle_event(
         self,
         event: tuple,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         phase_keys: set[str],
         reduce_mode: bool,
@@ -555,7 +528,7 @@ class Master:
         self,
         worker_id: str,
         message: dict,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         phase_keys: set[str],
     ) -> None:
@@ -573,10 +546,7 @@ class Master:
         )
         if assignment.cancelled or already_done:
             return  # the losing attempt of a speculated task
-        if attempts:
-            self.attempts_seen[task_id] = max(
-                self.attempts_seen.get(task_id, 0), attempts
-            )
+        record_attempts(self.attempts_seen, task_id, attempts)
         if (
             error is not None
             and isinstance(error, ShuffleError)
@@ -586,21 +556,9 @@ class Master:
             # a fresh reduce attempt against the re-hosted map output can
             # succeed, so burn one attempt and requeue instead of failing.
             consumed = task.attempt_offset + 1
-            self.attempts_seen[task.key] = max(
-                self.attempts_seen.get(task.key, 0), consumed
-            )
+            record_attempts(self.attempts_seen, task.key, consumed)
             if consumed < self._max_attempts:
-                pending.insert(
-                    0,
-                    ClusterTask(
-                        key=task.key,
-                        kind=task.kind,
-                        payload=task.payload,
-                        attempt_offset=consumed,
-                        crashes=task.crashes,
-                        preferred_hosts=task.preferred_hosts,
-                    ),
-                )
+                pending.insert(0, task.retry(consumed))
                 return
         if error is None and task.kind == "map":
             self._map_outcomes[task.key] = result
@@ -641,7 +599,7 @@ class Master:
     # ------------------------------------------------------------------
     def _sweep(
         self,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         phase_keys: set[str],
         reduce_mode: bool,
@@ -674,15 +632,16 @@ class Master:
     def _on_worker_dead(
         self,
         record: WorkerRecord,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         phase_keys: set[str],
         reduce_mode: bool,
     ) -> None:
-        """Pool-equivalent recovery, at daemon granularity: account the
-        lost in-flight attempt (reschedule or quarantine), re-execute
-        completed map outputs whose shuffle server died with the worker,
-        and keep capacity constant with a replacement daemon."""
+        """Recovery at daemon granularity: apply the shared lost-attempt
+        rule to the in-flight attempt (unless a sibling already won or
+        still runs it), re-execute completed map outputs whose shuffle
+        server died with the worker, and keep capacity constant with a
+        replacement daemon."""
         worker_id = record.worker_id
         record.state = WorkerState.DEAD
         if worker_id in self._sacrificed:
@@ -705,44 +664,20 @@ class Master:
         if assignment is not None:
             self._assignments.pop(assignment.tag, None)
             task = assignment.task
-            still_needed = not assignment.cancelled and task.key not in outcomes
-            if still_needed:
-                self.events.incr(Counter.WORKER_CRASHES)
-                task.crashes += 1
-                consumed = task.attempt_offset + 1
-                self.attempts_seen[task.key] = max(
-                    self.attempts_seen.get(task.key, 0), consumed
+            if not assignment.cancelled and task.key not in outcomes:
+                lose_attempt(
+                    task,
+                    pending,
+                    outcomes,
+                    self._max_attempts,
+                    self.events,
+                    self.attempts_seen,
+                    # A surviving sibling attempt carries the task.
+                    carried=any(
+                        a.task.key == task.key and not a.cancelled
+                        for a in self._assignments.values()
+                    ),
                 )
-                has_sibling = any(
-                    a.task.key == task.key and not a.cancelled
-                    for a in self._assignments.values()
-                )
-                if has_sibling:
-                    pass  # the surviving attempt carries the task
-                elif consumed >= self._max_attempts:
-                    self.events.incr(Counter.TASKS_QUARANTINED)
-                    outcomes[task.key] = (
-                        task.key,
-                        consumed,
-                        None,
-                        JobFailedError(
-                            f"task {task.key} quarantined after {task.crashes} "
-                            f"worker crash(es), {consumed} attempt(s) consumed: "
-                            "every worker that ran it died, so it is presumed poison"
-                        ),
-                    )
-                else:
-                    pending.insert(
-                        0,
-                        ClusterTask(
-                            key=task.key,
-                            kind=task.kind,
-                            payload=task.payload,
-                            attempt_offset=consumed,
-                            crashes=task.crashes,
-                            preferred_hosts=task.preferred_hosts,
-                        ),
-                    )
 
         if self._net_shuffle:
             self._reexecute_lost_maps(worker_id, pending, outcomes, phase_keys)
@@ -752,7 +687,7 @@ class Master:
     def _reexecute_lost_maps(
         self,
         worker_id: str,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         phase_keys: set[str],
     ) -> None:
@@ -789,7 +724,7 @@ class Master:
             )
             pending.insert(
                 0,
-                ClusterTask(
+                PoolTask(
                     key=key,
                     kind="map",
                     payload=index,
@@ -801,7 +736,7 @@ class Master:
     # ------------------------------------------------------------------
     # dispatch + speculation (scheduler thread)
     # ------------------------------------------------------------------
-    def _ready(self, task: ClusterTask) -> bool:
+    def _ready(self, task: PoolTask) -> bool:
         """Reduce tasks wait until every map partition has a live server
         to fetch from (net mode); a repair map is always ready."""
         if task.kind != "reduce" or not self._net_shuffle:
@@ -822,7 +757,7 @@ class Master:
         return (partition, [self._map_outcomes[key] for key in self._map_keys])
 
     def _send_task(
-        self, worker_id: str, task: ClusterTask, speculative: bool = False
+        self, worker_id: str, task: PoolTask, speculative: bool = False
     ) -> bool:
         with self._channel_lock:
             sock = self._channels.get(worker_id)
@@ -839,10 +774,7 @@ class Master:
                 sock,
                 OP_TASK,
                 {
-                    "key": task.key,
-                    "kind": task.kind,
-                    "payload": payload,
-                    "attempt_offset": task.attempt_offset,
+                    "task": (task.key, task.kind, payload, task.attempt_offset),
                     "tag": tag,
                 },
             )
@@ -862,7 +794,7 @@ class Master:
 
     def _dispatch(
         self,
-        pending: list[ClusterTask],
+        pending: list[PoolTask],
         outcomes: dict[str, tuple],
         reduce_mode: bool,
     ) -> None:
@@ -922,21 +854,14 @@ class Master:
             worker_id = self._pick_backup_worker(task, exclude=assignment.worker_id)
             if worker_id is None:
                 return  # no free slot this tick; try again next tick
-            backup = ClusterTask(
-                key=task.key,
-                kind=task.kind,
-                payload=task.payload,
-                attempt_offset=task.attempt_offset + 1,
-                crashes=task.crashes,
-                preferred_hosts=task.preferred_hosts,
-            )
+            backup = task.retry(task.attempt_offset + 1)
             if self._send_task(worker_id, backup, speculative=True):
                 self._phase_backups += 1
                 self._phase_speculated.add(task.key)
                 self.events.incr(Counter.SPECULATIVE_LAUNCHES)
 
     def _pick_backup_worker(
-        self, task: ClusterTask, exclude: str
+        self, task: PoolTask, exclude: str
     ) -> str | None:
         candidates = [
             worker_id
@@ -959,8 +884,8 @@ class ClusterExecutor(Executor):
     daemons it forks, with heartbeat failure detection, locality-aware
     placement against a staged DFS, and speculative re-execution.
 
-    ``repro.cluster.workers`` sets the daemon count (0 falls back to
-    ``repro.exec.workers``); each daemon gets a distinct host label, its
+    ``repro.exec.workers`` sets the daemon count, as it sets the process
+    backend's pool size; each daemon gets a distinct host label, its
     preferred DFS replicas, and (net mode) its own shuffle server.
     Byte-identical to the serial backend on fault-free runs: the engine
     code, split boundaries, and accounting contract are all shared.
@@ -977,12 +902,11 @@ class ClusterExecutor(Executor):
                 "which this platform does not provide"
             ) from exc
 
-        cluster_workers = job.conf.get_int(Keys.CLUSTER_WORKERS) or self.workers
-        if cluster_workers < 1:
+        if self.workers < 1:
             raise ExecBackendError(
-                f"the cluster backend needs at least one worker, got {cluster_workers}"
+                f"the cluster backend needs at least one worker, got {self.workers}"
             )
-        hosts = [f"node{index:02d}" for index in range(cluster_workers)]
+        hosts = [f"node{index:02d}" for index in range(self.workers)]
         splits = job_splits(job)
         tmp_root = tempfile.mkdtemp(prefix=f"repro-cluster-{job.name}-")
         locality = stage_locality(job, hosts)

@@ -30,8 +30,9 @@ Opcodes
 ``HELLO``  worker -> master: ``{worker_id, host, pid, shuffle_address}``,
            first frame on the task channel; registers the worker.
 ``PING``   worker -> master (fresh connection): ``{worker_id, seq}``.
-``TASK``   master -> worker: ``{key, kind, payload, attempt_offset,
-           tag}`` — run one map/reduce attempt.
+``TASK``   master -> worker: ``{task, tag}`` — run one map/reduce
+           attempt, ``task`` being the pool workers' ``(key, kind,
+           payload, attempt_offset)`` message.
 ``RESULT`` worker -> master: ``{tag, outcome}`` with the entry points'
            ``(task_id, attempts, result, error)`` outcome tuple.
 ``STATS``  worker -> master: final shuffle-server snapshot, sent while

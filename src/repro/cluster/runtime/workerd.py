@@ -21,9 +21,11 @@ configured worker (plus replacements).  Startup order matters:
    so only the task timeout (not the membership sweep) judges slow
    tasks.
 
-Task execution is exactly the process backend's: the same entry points,
-the same attempt budget, the same outcome tuples — just shipped over a
-socket instead of a pipe.
+Each TASK frame runs through the same worker-side routine as the
+process backend's pool workers (:func:`~repro.exec.attempts.run_attempt`
+with :func:`~repro.exec.workers.task_handlers`): the same entry points,
+the same attempt budget, the same outcome tuples and unpicklable-result
+fallback — just shipped over a socket instead of a pipe.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import threading
 import time
 
 from ...engine.inputformat import TextInput
-from ...errors import ExecBackendError, ReproError
 from ...exec import workers
+from ...exec.attempts import run_attempt
 from ...exec.base import start_shuffle_server
 from .protocol import (
     OP_BYE,
@@ -97,25 +99,6 @@ def _heartbeat_loop(
             os._exit(0)
 
 
-def _run_task(message: dict, ctx_id: int) -> tuple:
-    """One task attempt through the shared entry points; mirrors
-    :func:`repro.exec.workers.worker_main`'s error discipline — every
-    failure becomes an outcome, never a dead daemon."""
-    key = message["key"]
-    try:
-        if message["kind"] == "map":
-            return workers.map_entry(
-                message["payload"], message["attempt_offset"], ctx_id=ctx_id
-            )
-        return workers.reduce_entry(
-            message["payload"], message["attempt_offset"], ctx_id=ctx_id
-        )
-    except ReproError as exc:
-        return (key, 0, None, exc)
-    except BaseException as exc:  # noqa: BLE001 - daemon must not die on user junk
-        return (key, 0, None, ExecBackendError(f"worker failed running {key}: {exc!r}"))
-
-
 def workerd_main(
     worker_id: str,
     host: str,
@@ -158,6 +141,7 @@ def workerd_main(
         name=f"heartbeat-{worker_id}",
     ).start()
 
+    handlers = workers.task_handlers(ctx_id)
     try:
         while True:
             try:
@@ -172,31 +156,19 @@ def workerd_main(
             if opcode != OP_TASK:
                 continue
             started = time.monotonic()
-            outcome = _run_task(message, ctx_id)
-            reply = {
-                "tag": message["tag"],
-                "outcome": outcome,
-                "seconds": time.monotonic() - started,
-            }
-            try:
-                send_msg(conn, OP_RESULT, reply)
-            except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
-                send_msg(
+            run_attempt(
+                message["task"],
+                handlers,
+                lambda outcome: send_msg(
                     conn,
                     OP_RESULT,
                     {
                         "tag": message["tag"],
-                        "outcome": (
-                            outcome[0],
-                            outcome[1],
-                            None,
-                            ExecBackendError(
-                                f"result of {outcome[0]} is unpicklable: {exc!r}"
-                            ),
-                        ),
+                        "outcome": outcome,
                         "seconds": time.monotonic() - started,
                     },
-                )
+                ),
+            )
     finally:
         stop.set()
         if server is not None:

@@ -35,7 +35,6 @@ class Keys:
     FREQBUF_BUFFER_FRACTION = "repro.freqbuf.buffer.fraction"  # share of spill buffer
     FREQBUF_VALUES_PER_KEY = "repro.freqbuf.values.per.key"  # combine trigger
     FREQBUF_SHARE_ACROSS_TASKS = "repro.freqbuf.share.across.tasks"
-    FREQBUF_PREDICTOR = "repro.freqbuf.predictor"  # spacesaving | lru | ideal
 
     # --- spill-matcher (the paper's Section IV) ---
     SPILLMATCHER_ENABLED = "repro.spillmatcher.enabled"
@@ -44,7 +43,7 @@ class Keys:
 
     # --- execution backend (repro.exec) ---
     EXEC_BACKEND = "repro.exec.backend"  # serial | process | cluster
-    EXEC_WORKERS = "repro.exec.workers"  # worker count (0 = one per CPU)
+    EXEC_WORKERS = "repro.exec.workers"  # workers/daemons (0 = one per CPU)
     EXEC_LIVE_PIPELINE = "repro.exec.live.pipeline"  # real support thread per map task
 
     # --- network shuffle (repro.shuffle) ---
@@ -82,7 +81,6 @@ class Keys:
     # --- engine ---
     NUM_REDUCERS = "repro.job.reduces"
     EXEC_MAP_ONLY = "repro.exec.map.only"  # run map phase only (delta recompute)
-    COMBINER_MIN_SPILL_RECORDS = "repro.combine.min.spill.records"
     EXACT_COMPARISON_COUNTING = "repro.instrument.exact.comparisons"
     SPILL_COMPRESSION = "repro.io.spill.compression"  # identity|zlib|rle+zlib
     GROUPING = "repro.engine.grouping"  # sort | hash (post-map grouping procedure)
@@ -95,8 +93,6 @@ class Keys:
     DFS_REPLICATION = "repro.dfs.replication"
 
     # --- multi-tenant job service (repro.serve) ---
-    SERVE_HOST = "repro.serve.host"
-    SERVE_PORT = "repro.serve.port"  # 0 = ephemeral
     SERVE_POOL_SIZE = "repro.serve.pool.size"  # leasable worker slots
     SERVE_POOL_WARM = "repro.serve.pool.warm"  # pre-fork at start, reuse across jobs
     SERVE_POOL_RECYCLE_JOBS = "repro.serve.pool.recycle.jobs"  # re-fork after N jobs (0 = never)
@@ -117,7 +113,6 @@ class Keys:
     STREAM_DELTA = "repro.stream.delta.enabled"  # split-level delta recompute
 
     # --- cluster runtime (repro.cluster.runtime) ---
-    CLUSTER_WORKERS = "repro.cluster.workers"  # 0 = fall back to repro.exec.workers
     CLUSTER_HEARTBEAT_INTERVAL = "repro.cluster.heartbeat.interval.seconds"
     CLUSTER_SUSPECT_MISSES = "repro.cluster.heartbeat.suspect.misses"
     CLUSTER_DEAD_MISSES = "repro.cluster.heartbeat.dead.misses"
@@ -143,7 +138,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.FREQBUF_BUFFER_FRACTION: 0.3,  # Section V-B2: 30% of spill buffer
     Keys.FREQBUF_VALUES_PER_KEY: 8,
     Keys.FREQBUF_SHARE_ACROSS_TASKS: True,
-    Keys.FREQBUF_PREDICTOR: "spacesaving",
     Keys.EXEC_BACKEND: "serial",
     Keys.EXEC_WORKERS: 0,
     Keys.EXEC_LIVE_PIPELINE: False,
@@ -170,7 +164,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.SPILLMATCHER_MIN_PERCENT: 0.05,
     Keys.SPILLMATCHER_MAX_PERCENT: 0.95,
     Keys.NUM_REDUCERS: 1,
-    Keys.COMBINER_MIN_SPILL_RECORDS: 1,
     Keys.EXACT_COMPARISON_COUNTING: False,
     Keys.SPILL_COMPRESSION: "identity",
     Keys.GROUPING: "sort",
@@ -179,8 +172,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.TASK_TIMEOUT: 0.0,  # Hadoop's mapred.task.timeout, scaled; 0 disables
     Keys.DFS_BLOCK_BYTES: 1 << 22,  # 4 MiB
     Keys.DFS_REPLICATION: 3,
-    Keys.SERVE_HOST: "127.0.0.1",
-    Keys.SERVE_PORT: 8750,
     Keys.SERVE_POOL_SIZE: 4,
     Keys.SERVE_POOL_WARM: True,
     Keys.SERVE_POOL_RECYCLE_JOBS: 0,
@@ -198,7 +189,6 @@ DEFAULTS: dict[str, Any] = {
     Keys.STREAM_MAX_BATCHES: 0,
     Keys.STREAM_IDLE_TIMEOUT: 5.0,
     Keys.STREAM_DELTA: True,
-    Keys.CLUSTER_WORKERS: 0,
     Keys.CLUSTER_HEARTBEAT_INTERVAL: 0.1,
     Keys.CLUSTER_SUSPECT_MISSES: 3,
     Keys.CLUSTER_DEAD_MISSES: 8,

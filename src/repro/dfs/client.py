@@ -148,13 +148,6 @@ class DfsClient:
             digests.append(hashlib.sha256(payload).hexdigest())
         return tuple(digests)
 
-    def file_digest(self, path: str) -> str:
-        """SHA-256 over the file's block digests — one whole-file id."""
-        digest = hashlib.sha256()
-        for block_digest in self.block_digests(path):
-            digest.update(block_digest.encode("ascii"))
-        return digest.hexdigest()
-
     # ------------------------------------------------------------------
     # splits
     # ------------------------------------------------------------------

@@ -44,9 +44,6 @@ class MapTaskResult:
     #: executor when ``repro.shuffle.mode = net``; reducers fetch from it.
     serve_address: tuple[str, int] | None = None
 
-    def partition_bytes(self, partition: int) -> int:
-        return self.output_index.entry(partition).length
-
     @property
     def duration_work(self) -> float:
         """Modelled wall-work of this task on one node.

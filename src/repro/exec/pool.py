@@ -13,13 +13,12 @@ This pool is built for exactly that case:
 * the scheduling loop waits on result pipes *and* process sentinels
   (:func:`multiprocessing.connection.wait`), so an abrupt death is an
   event, not a timeout;
-* a lost task is rescheduled on the survivors with its cumulative
-  attempt count carried forward (``attempt_offset``), sharing one
-  ``repro.task.max.attempts`` budget between in-worker failures and
-  worker deaths — and a *poison* task that keeps killing workers is
-  quarantined with a task-attributed :class:`~repro.errors.
-  JobFailedError` once that budget is gone, instead of taking the pool
-  down with it;
+* a lost attempt goes through the shared lifecycle in
+  :mod:`repro.exec.attempts` (:func:`~repro.exec.attempts.lose_attempt`,
+  the rule the cluster master applies too): rescheduled on the
+  survivors under one ``repro.task.max.attempts`` budget, or — a
+  *poison* task that keeps killing workers — quarantined with a
+  task-attributed :class:`~repro.errors.JobFailedError`;
 * dead workers are replaced immediately, keeping capacity constant;
 * a configurable task timeout (``repro.task.timeout.seconds``) reaps
   workers stuck in a hung task (injected ``worker.hang``, or real
@@ -27,8 +26,9 @@ This pool is built for exactly that case:
   the same lost-attempt path.
 
 Workers are forked (see :mod:`repro.exec.process` for why) and run
-:func:`repro.exec.workers.worker_main`; only task payloads and
-outcomes cross the pipes.
+:func:`pipe_worker_main`, which hands each message to the shared
+:func:`~repro.exec.attempts.run_attempt` with the pool's per-kind
+handlers; only task payloads and outcomes cross the pipes.
 """
 
 from __future__ import annotations
@@ -36,24 +36,35 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Any, Callable
+from typing import Any
 
 from ..engine.counters import Counter, Counters
-from ..errors import JobFailedError
+from ..errors import ExecBackendError, ReproError
+from ..faults.runtime import mark_worker_process
+from .attempts import Handler, PoolTask, check_outcomes, lose_attempt, run_attempt
 
 #: How long one scheduler wait blocks before re-checking task timeouts.
 _WAIT_SECONDS = 0.05
 
 
-@dataclass
-class PoolTask:
-    """One task to run in some worker, with its crash history."""
-
-    key: str  # task id, for attribution
-    kind: str  # "map" | "reduce"
-    payload: Any  # map: split index; reduce: (partition, map_results)
-    attempt_offset: int = 0  # attempts already consumed (crashed ones)
-    crashes: int = 0  # workers this task has killed so far
+def pipe_worker_main(
+    conn, handlers: dict[str, Handler], error_type: type[ReproError] = ExecBackendError
+) -> None:
+    """The long-lived loop of one forked pool worker: run each
+    ``(key, kind, payload, attempt_offset)`` message received over the
+    pipe through :func:`~repro.exec.attempts.run_attempt`.  A ``None``
+    message (or pipe EOF) shuts the worker down; the only other exit is
+    abrupt death, which the parent observes via the process sentinel."""
+    mark_worker_process()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is None:
+            break
+        run_attempt(message, handlers, conn.send, error_type)
+    conn.close()
 
 
 @dataclass
@@ -77,8 +88,9 @@ class CrashTolerantPool:
 
     ctx: Any  # a fork multiprocessing context
     workers: int
-    worker_target: Callable[[Any], None]  # worker_main(conn)
+    handlers: dict[str, Handler]  # task kind -> worker-side handler
     max_attempts: int
+    error_type: type[ReproError] = ExecBackendError  # opaque worker errors
     task_timeout: float = 0.0  # seconds; 0 disables reaping
     events: Counters = field(default_factory=Counters)
     #: task_id -> attempts consumed, updated on crashes too, so callers
@@ -96,17 +108,19 @@ class CrashTolerantPool:
         self.forks += 1
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         process = self.ctx.Process(
-            target=self.worker_target, args=(child_conn,), daemon=True
+            target=pipe_worker_main,
+            args=(child_conn, self.handlers, self.error_type),
+            daemon=True,
         )
         process.start()
         child_conn.close()  # the child's end lives in the child now
         return _Worker(process=process, conn=parent_conn)
 
     # ------------------------------------------------------------------
-    def run(self, tasks: list[PoolTask]) -> list[tuple]:
-        """Run every task to an outcome; returns outcomes in the order
-        of *tasks* (task order), each a ``(task_id, attempts, result,
-        error)`` tuple as produced by the worker entry points."""
+    def run(self, tasks: list[PoolTask]) -> list:
+        """Run every task to an outcome; returns the results in the order
+        of *tasks*, or raises the first failure in that order
+        (:func:`~repro.exec.attempts.check_outcomes`)."""
         pending: list[PoolTask] = list(tasks)
         outcomes: dict[str, tuple] = {}
         while pending or any(w.busy for w in self._pool):
@@ -124,12 +138,9 @@ class CrashTolerantPool:
                     self._finish(worker, pending, outcomes)
                 elif worker.process.sentinel in ready:
                     self._lost(worker, worker.current, pending, outcomes)
-        return [outcomes[task.key] for task in tasks]
-
-    def run_one(self, task: PoolTask) -> tuple:
-        """Run a single task to an outcome — the warm-pool lease path,
-        where one leased single-worker pool runs one job at a time."""
-        return self.run([task])[0]
+        return check_outcomes(
+            (outcomes[task.key] for task in tasks), self.attempts_seen
+        )
 
     def close(self) -> None:
         """Shut the workers down (politely, then firmly).  Idempotent:
@@ -190,9 +201,6 @@ class CrashTolerantPool:
             self._lost(worker, task, pending, outcomes)
             return
         worker.current = None
-        task_id, attempts, _result, _error = outcome
-        if attempts:
-            self.attempts_seen[task_id] = attempts
         outcomes[task.key] = outcome
 
     def _lost(
@@ -202,35 +210,13 @@ class CrashTolerantPool:
         pending: list[PoolTask],
         outcomes: dict[str, tuple],
     ) -> None:
-        """A worker died while running *task*: account the lost attempt,
-        reschedule on survivors or quarantine, replace the worker."""
+        """A worker died while running *task*: replace the worker and
+        apply the shared lost-attempt rule."""
         assert task is not None
-        self.events.incr(Counter.WORKER_CRASHES)
-        task.crashes += 1
-        consumed = task.attempt_offset + 1  # the attempt that died
-        self.attempts_seen[task.key] = max(
-            self.attempts_seen.get(task.key, 0), consumed
-        )
         self._replace(worker)
-        if consumed >= self.max_attempts:
-            self.events.incr(Counter.TASKS_QUARANTINED)
-            error = JobFailedError(
-                f"task {task.key} quarantined after {task.crashes} worker "
-                f"crash(es), {consumed} attempt(s) consumed: every worker "
-                "that ran it died, so it is presumed poison"
-            )
-            outcomes[task.key] = (task.key, consumed, None, error)
-        else:
-            pending.insert(
-                0,
-                PoolTask(
-                    key=task.key,
-                    kind=task.kind,
-                    payload=task.payload,
-                    attempt_offset=consumed,
-                    crashes=task.crashes,
-                ),
-            )
+        lose_attempt(
+            task, pending, outcomes, self.max_attempts, self.events, self.attempts_seen
+        )
 
     def _replace(self, worker: _Worker) -> None:
         worker.current = None

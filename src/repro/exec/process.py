@@ -12,7 +12,8 @@ segfault, injected ``worker.kill``) costs one task attempt, not the
 job; the lost attempt is rescheduled on the survivors under the shared
 ``repro.task.max.attempts`` budget, and a poison task that keeps
 killing workers is quarantined with a task-attributed
-:class:`~repro.errors.JobFailedError`.
+:class:`~repro.errors.JobFailedError` — the task-attempt lifecycle of
+:mod:`repro.exec.attempts`, which the cluster master applies too.
 
 The pool uses the ``fork`` start method deliberately: application specs
 are built from closures and lambdas that cannot pickle, so the job is
@@ -33,7 +34,6 @@ serial run's.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import shutil
 import tempfile
@@ -42,7 +42,7 @@ from ..config import Keys
 from ..engine.counters import Counters
 from ..engine.job import JobSpec
 from ..engine.runner import JobResult
-from ..errors import ExecBackendError, JobFailedError, ReproError
+from ..errors import ExecBackendError
 from ..faults.runtime import installed
 from . import workers
 from .base import (
@@ -56,7 +56,8 @@ from .base import (
     reduce_task_id,
     start_shuffle_server,
 )
-from .pool import CrashTolerantPool, PoolTask
+from .attempts import PoolTask
+from .pool import CrashTolerantPool
 
 
 class ProcessExecutor(Executor):
@@ -95,19 +96,17 @@ class ProcessExecutor(Executor):
                 with CrashTolerantPool(
                     ctx=ctx,
                     workers=self.workers,
-                    worker_target=functools.partial(workers.worker_main, ctx_id=ctx_id),
+                    handlers=workers.task_handlers(ctx_id),
                     max_attempts=job.conf.get_positive_int(Keys.TASK_MAX_ATTEMPTS),
                     task_timeout=job.conf.get_float(Keys.TASK_TIMEOUT),
                     events=events,
+                    attempts_seen=self.task_attempts,
                 ) as pool:
-                    pool.attempts_seen = self.task_attempts
-                    map_results = self._collect(
-                        pool.run(
-                            [
-                                PoolTask(key=map_task_id(job, i), kind="map", payload=i)
-                                for i in range(len(splits))
-                            ]
-                        )
+                    map_results = pool.run(
+                        [
+                            PoolTask(key=map_task_id(job, i), kind="map", payload=i)
+                            for i in range(len(splits))
+                        ]
                     )
                     # The node-combine stage runs in the parent: it reads
                     # the workers' temp-disk outputs and (net mode)
@@ -118,17 +117,15 @@ class ProcessExecutor(Executor):
                     )
                     reduce_results = []
                     if not job.conf.get_bool(Keys.EXEC_MAP_ONLY):
-                        reduce_results = self._collect(
-                            pool.run(
-                                [
-                                    PoolTask(
-                                        key=reduce_task_id(job, p),
-                                        kind="reduce",
-                                        payload=(p, fetch_results),
-                                    )
-                                    for p in range(job.num_reducers)
-                                ]
-                            )
+                        reduce_results = pool.run(
+                            [
+                                PoolTask(
+                                    key=reduce_task_id(job, p),
+                                    kind="reduce",
+                                    payload=(p, fetch_results),
+                                )
+                                for p in range(job.num_reducers)
+                            ]
                         )
             for result in map_results:
                 materialize_map_result(result)
@@ -149,24 +146,3 @@ class ProcessExecutor(Executor):
             events=events,
             node_combine=node_combine,
         )
-
-    def _collect(self, outcomes) -> list:
-        """Record attempt counts, then fail on the first failed task (in
-        task order) — matching the serial backend's failure order.
-        Whatever reached the parent is always a task-attributed error:
-        framework errors re-raise with their causal type, anything
-        opaque becomes a :class:`~repro.errors.JobFailedError` naming
-        the task and its attempt count."""
-        results = []
-        for task_id, attempts, result, error in outcomes:
-            if attempts:
-                self.task_attempts[task_id] = attempts
-            if error is not None:
-                if isinstance(error, ReproError):
-                    raise error
-                raise JobFailedError(
-                    f"task {task_id} failed in a worker process after "
-                    f"{max(attempts, 1)} attempt(s): {error!r}"
-                ) from error
-            results.append(result)
-        return results

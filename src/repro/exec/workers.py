@@ -11,7 +11,9 @@ disk for the parent and the reduce workers to read.
 
 Entry points return ``(task_id, attempts, result, error)`` rather than
 raising, so the parent can record attempt counts before propagating the
-failure in task order.
+failure in task order.  They run under the shared worker-side routine
+of :mod:`repro.exec.attempts` (:func:`task_handlers`), over the process
+backend's pipes and the cluster daemons' sockets alike.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 from ..engine.job import JobSpec
 from ..engine.maptask import MapTaskResult
-from ..errors import ExecBackendError, JobFailedError, ReproError
-from ..faults.runtime import mark_worker_process
+from ..errors import JobFailedError
+from .attempts import Handler
 from .base import map_task_id, reduce_task_id, run_map_with_retries, run_reduce_with_retries
 from .diskio import FileDisk
 
@@ -165,57 +167,14 @@ def reduce_entry(
         return task_id, attempts_seen.get(task_id, 0), None, exc
 
 
-def worker_main(conn, ctx_id: int = 0) -> None:
-    """The long-lived worker loop the crash-tolerant pool forks.
-
-    *ctx_id* pins the worker to its executor's registered context, so
-    replacement workers forked while other executors are live in the
-    same parent never run against a different job's context.
-
-    Receives ``(key, kind, payload, attempt_offset)`` messages over the
-    pipe, runs the matching entry point, and sends back its
-    ``(task_id, attempts, result, error)`` outcome.  A ``None`` message
-    (or pipe EOF) shuts the worker down.  Every error becomes an
-    outcome — the only exits are orderly shutdown and abrupt death,
-    which the parent observes via the process sentinel.
-    """
-    mark_worker_process()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        key, kind, payload, attempt_offset = message
-        try:
-            if kind == "map":
-                outcome = map_entry(payload, attempt_offset, ctx_id=ctx_id)
-            else:
-                outcome = reduce_entry(payload, attempt_offset, ctx_id=ctx_id)
-        except ReproError as exc:
-            # Framework errors the entries do not convert (shuffle
-            # registration failures, config problems): ship them whole
-            # so the parent re-raises the causal type.
-            outcome = (key, 0, None, exc)
-        except BaseException as exc:  # noqa: BLE001 - worker must not die on user junk
-            outcome = (
-                key,
-                0,
-                None,
-                ExecBackendError(f"worker failed running {key}: {exc!r}"),
-            )
-        try:
-            conn.send(outcome)
-        except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
-            # The outcome itself would not pickle; degrade to an error
-            # outcome (attempt counts are still useful to the parent).
-            conn.send(
-                (
-                    outcome[0],
-                    outcome[1],
-                    None,
-                    ExecBackendError(f"result of {key} is unpicklable: {exc!r}"),
-                )
-            )
-    conn.close()
+def task_handlers(ctx_id: int) -> dict[str, Handler]:
+    """The map and reduce handlers of a worker pinned to context
+    *ctx_id* — what pool workers and cluster daemons hand to
+    :func:`~repro.exec.attempts.run_attempt`.  Pinning keeps replacement
+    workers forked while other executors are live in the same parent on
+    their own job's context.  The entry points are looked up per call,
+    so wrappers installed on them after import still apply."""
+    return {
+        "map": lambda index, offset: map_entry(index, offset, ctx_id=ctx_id),
+        "reduce": lambda work, offset: reduce_entry(work, offset, ctx_id=ctx_id),
+    }

@@ -131,10 +131,6 @@ def mark_worker_process() -> None:
     _IN_WORKER_PROCESS = True
 
 
-def in_worker_process() -> bool:
-    return _IN_WORKER_PROCESS
-
-
 # ----------------------------------------------------------------------
 # task scope
 # ----------------------------------------------------------------------

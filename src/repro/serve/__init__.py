@@ -14,7 +14,8 @@ paper attacks per-job across the whole submission stream:
 * **warm pre-forked worker pools** (:mod:`repro.serve.lease`) —
   :class:`~repro.exec.pool.CrashTolerantPool` workers stay alive
   between jobs and are leased to submissions, amortizing process
-  startup; crashes recycle through the existing quarantine machinery;
+  startup; crashes recycle through the shared task-attempt lifecycle
+  (:mod:`repro.exec.attempts`) every multi-process backend uses;
 * **cross-tenant execution dedup** (:mod:`repro.serve.service`) —
   identical submissions coalesce onto one in-flight execution with all
   waiters fanned in, backed by a result cache that can persist on disk

@@ -5,16 +5,20 @@ every run; a job service paying it per *submission* would hand the
 savings straight back.  The :class:`WarmPoolManager` keeps a fixed set
 of single-worker :class:`~repro.exec.pool.CrashTolerantPool` instances
 alive across jobs: a submission *leases* a slot, runs its whole job
-inside that worker (see :func:`serve_worker_main`), and returns the
-slot — the fork happened once, at service start.
+inside that worker as one ``job`` task, and returns the slot — the fork
+happened once, at service start.
 
-Fault tolerance rides on the pool's existing machinery: a worker that
-dies mid-job is detected by its process sentinel, the pool forks a
-replacement, and a submission that keeps killing workers is
-quarantined with a :class:`~repro.errors.JobFailedError` after
-``max_attempts`` (the same path the process backend's poison tasks
-take).  ``recycle_jobs`` bounds drift by re-forking a slot's worker
-after N jobs.
+Fault tolerance is the shared task-attempt lifecycle of
+:mod:`repro.exec.attempts`: the pool's workers run each submission
+through :func:`~repro.exec.attempts.run_attempt` (opaque failures and
+unpicklable outcomes come back as :class:`~repro.errors.ServeError`), a
+worker that dies mid-job is detected by its process sentinel and
+replaced, and a submission that keeps killing workers is quarantined by
+:func:`~repro.exec.attempts.lose_attempt` with a
+:class:`~repro.errors.JobFailedError` after ``max_attempts`` — the rule
+the process backend and the cluster master apply to poison tasks.
+``recycle_jobs`` bounds drift by re-forking a slot's worker after N
+jobs.
 
 Cold mode (``warm=False``) forks a fresh pool per lease and tears it
 down on release — it exists so the load benchmark can measure exactly
@@ -29,53 +33,22 @@ import multiprocessing
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import ExecBackendError, ReproError, ServeError
-from ..exec.pool import CrashTolerantPool, PoolTask
-from ..faults.runtime import mark_worker_process
+from ..errors import ExecBackendError, ServeError
+from ..exec.attempts import PoolTask
+from ..exec.pool import CrashTolerantPool
 from .request import JobOutcome, JobRequest, execute_request
 
 
-def serve_worker_main(conn) -> None:
-    """The long-lived serve worker loop (forked by the pool).
-
-    Unlike the process backend's :func:`~repro.exec.workers.worker_main`
-    — whose tasks resolve a fork-inherited job context — serve workers
-    are forked *before* the submissions they will run exist, so each
-    ``job`` message carries a self-contained :class:`~repro.serve.
-    request.JobRequest` dict and the job is rebuilt in-child from the
-    app/pipeline registries.  Messages and outcomes follow the pool's
-    ``(key, kind, payload, attempt_offset)`` →
-    ``(task_id, attempts, result, error)`` protocol.
-    """
-    mark_worker_process()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        key, _kind, payload, attempt_offset = message
-        request_dict, cache_dir = payload
-        try:
-            outcome = execute_request(JobRequest.from_dict(request_dict), cache_dir)
-            reply = (key, attempt_offset + 1, outcome, None)
-        except ReproError as exc:
-            reply = (key, attempt_offset + 1, None, exc)
-        except BaseException as exc:  # noqa: BLE001 - worker must not die on user junk
-            reply = (
-                key,
-                attempt_offset + 1,
-                None,
-                ServeError(f"submission {key} failed in worker: {exc!r}"),
-            )
-        try:
-            conn.send(reply)
-        except Exception as exc:  # noqa: BLE001 - pickling can fail arbitrarily
-            conn.send(
-                (key, reply[1], None, ServeError(f"result of {key} unpicklable: {exc!r}"))
-            )
-    conn.close()
+def _run_submission(payload: tuple, attempt_offset: int) -> tuple:
+    """The serve worker's one handler (kind ``job``).  Serve workers are
+    forked *before* the submissions they will run exist, so — unlike the
+    process backend's map/reduce handlers, which resolve a fork-inherited
+    job context — each payload carries a self-contained
+    :class:`~repro.serve.request.JobRequest` dict and the job is rebuilt
+    in-child from the app/pipeline registries."""
+    key, request_dict, cache_dir = payload
+    outcome = execute_request(JobRequest.from_dict(request_dict), cache_dir)
+    return key, attempt_offset + 1, outcome, None
 
 
 @dataclass
@@ -123,8 +96,9 @@ class WarmPoolManager:
             pool=CrashTolerantPool(
                 ctx=self._ctx,
                 workers=1,
-                worker_target=serve_worker_main,
+                handlers={"job": _run_submission},
                 max_attempts=self.max_attempts,
+                error_type=ServeError,
             )
         )
 
@@ -139,11 +113,9 @@ class WarmPoolManager:
         slot = self._acquire(timeout)
         try:
             task = PoolTask(
-                key=key, kind="job", payload=(request.as_dict(), self.cache_dir)
+                key=key, kind="job", payload=(key, request.as_dict(), self.cache_dir)
             )
-            _task_id, _attempts, outcome, error = slot.pool.run_one(task)
-            if error is not None:
-                raise error
+            [outcome] = slot.pool.run([task])
             if outcome is None:
                 raise ServeError(f"submission {key} returned no outcome")
             slot.jobs_run += 1

@@ -90,11 +90,6 @@ class TenantRegistry:
                 tenant = self._tenants[name] = Tenant(name=name, quota=quota)
             return tenant
 
-    def configure(self, name: str, quota: TenantQuota) -> Tenant:
-        tenant = self.get_or_create(name)
-        tenant.quota = quota
-        return tenant
-
     def set_weight(self, name: str, weight: float) -> None:
         tenant = self.get_or_create(name)
         tenant.quota = TenantQuota(

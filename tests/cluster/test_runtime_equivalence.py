@@ -100,9 +100,9 @@ def test_create_executor_wires_the_cluster_backend() -> None:
 
 
 @pytest.mark.cluster
-def test_cluster_workers_conf_overrides_exec_workers() -> None:
-    """`repro.cluster.workers` sizes the daemon fleet independently of
-    the generic worker count."""
+def test_exec_workers_sizes_the_daemon_fleet() -> None:
+    """`repro.exec.workers` is the one worker-count knob: it sizes the
+    cluster backend's daemon fleet as it sizes the process pool."""
     app = build_app(
         "wordcount",
         "baseline",
@@ -110,8 +110,7 @@ def test_cluster_workers_conf_overrides_exec_workers() -> None:
         num_splits=2,
         extra_conf={
             Keys.EXEC_BACKEND: "cluster",
-            Keys.EXEC_WORKERS: 1,
-            Keys.CLUSTER_WORKERS: 2,
+            Keys.EXEC_WORKERS: 2,
             Keys.SHUFFLE_MODE: "net",
             Keys.FREQBUF_SHARE_ACROSS_TASKS: False,
         },

@@ -84,3 +84,25 @@ class TestMutation:
         snapshot = conf.as_dict()
         conf.set("a", 2)
         assert snapshot["a"] == 1
+
+
+def test_every_key_is_read_outside_config():
+    """A key that no module but ``config.py`` references is a dead knob:
+    setting it changes nothing."""
+    import pathlib
+    import re
+
+    import repro
+    import repro.config
+
+    package = pathlib.Path(repro.__file__).parent
+    config_path = pathlib.Path(repro.config.__file__)
+    sources = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in package.rglob("*.py")
+        if path != config_path
+    )
+    names = [name for name in vars(Keys) if name.isupper()]
+    assert len(names) == len(DEFAULTS)
+    dead = [name for name in names if not re.search(rf"\bKeys\.{name}\b", sources)]
+    assert dead == []

@@ -1,11 +1,13 @@
 """Worker fault points: abrupt death, hangs, and poison-task quarantine.
 
-The process backend's CrashTolerantPool must treat a dead worker as a
-lost *attempt*, reschedule it on survivors under the shared attempt
-budget, reap hung workers via the task timeout, and quarantine tasks
-that kill every worker they touch — all without perturbing output
-bytes.  Satellite: even with fault injection off, a genuine worker
-crash surfaces as a task-attributed JobFailedError.
+A dead worker is a lost *attempt*: the shared task-attempt lifecycle
+(:mod:`repro.exec.attempts`) reschedules it on survivors under one
+attempt budget, the task timeout reaps hung workers, and tasks that
+kill every worker they touch are quarantined — all without perturbing
+output bytes.  The process backend's pool and the cluster master both
+apply these rules, so the timeout and quarantine cases run on each.
+Even with fault injection off, a genuine worker crash surfaces as a
+task-attributed JobFailedError.
 """
 
 from __future__ import annotations
@@ -25,8 +27,14 @@ from repro.serde.text import Text
 from ..conftest import make_wordcount_job
 
 
-def run_wordcount(data: bytes, fault_conf: dict | None = None) -> JobResult:
-    conf: dict = {Keys.EXEC_BACKEND: "process", Keys.EXEC_WORKERS: 3}
+#: The multi-process backends: both run the shared lost-attempt rule.
+WORKER_BACKENDS = ("process", pytest.param("cluster", marks=pytest.mark.cluster))
+
+
+def run_wordcount(
+    data: bytes, fault_conf: dict | None = None, backend: str = "process"
+) -> JobResult:
+    conf: dict = {Keys.EXEC_BACKEND: backend, Keys.EXEC_WORKERS: 3}
     if fault_conf:
         conf.update(fault_conf)
     job = make_wordcount_job(data, conf_overrides=conf, num_splits=3)
@@ -51,7 +59,8 @@ def test_killed_workers_are_rescheduled_to_identical_output(tiny_text) -> None:
     assert all(a <= 2 for a in faulty.task_attempts.values())
 
 
-def test_hung_workers_are_reaped_by_task_timeout(tiny_text) -> None:
+@pytest.mark.parametrize("backend", WORKER_BACKENDS)
+def test_hung_workers_are_reaped_by_task_timeout(tiny_text, backend) -> None:
     clean = run_wordcount(tiny_text)
     faulty = run_wordcount(
         tiny_text,
@@ -61,7 +70,10 @@ def test_hung_workers_are_reaped_by_task_timeout(tiny_text) -> None:
             Keys.FAULTS_SPEC: "worker.hang:0.4",
             Keys.FAULTS_SEED: 13,
             Keys.TASK_TIMEOUT: 1.0,
+            # A speculative backup could win before the timeout fires.
+            Keys.CLUSTER_SPECULATION: False,
         },
+        backend,
     )
     assert output_bytes(faulty) == output_bytes(clean)
     assert faulty.counters.get(Counter.TASK_TIMEOUTS) > 0
@@ -71,17 +83,22 @@ def test_hung_workers_are_reaped_by_task_timeout(tiny_text) -> None:
     )
 
 
-def test_poison_task_is_quarantined_with_attribution(tiny_text) -> None:
+@pytest.mark.parametrize("backend", WORKER_BACKENDS)
+def test_poison_task_is_quarantined_with_attribution(tiny_text, backend) -> None:
     """A task that kills every worker it touches is pulled from
     scheduling with a task-attributed error, instead of crash-looping
-    the pool forever."""
-    with pytest.raises(JobFailedError, match=r"quarantined after \d+ worker crash"):
+    the pool (or the daemon fleet) forever."""
+    with pytest.raises(
+        JobFailedError,
+        match=r"task wc-test\.m\d+ quarantined after 3 worker crash\(es\), 3 attempt",
+    ):
         run_wordcount(
             tiny_text,
             {
                 Keys.FAULTS_SPEC: "worker.kill:1.0:99",
                 Keys.TASK_MAX_ATTEMPTS: 3,
             },
+            backend,
         )
 
 
